@@ -14,9 +14,9 @@
 //! published numbers.
 //!
 //! Every stage runs under a `droplens-obs` span; `--metrics-json PATH`
-//! writes the resulting run report (per-stage wall clock, per-parser
-//! record counters) as stable JSON — the file committed as
-//! `BENCH_<date>.json`.
+//! writes the resulting run report (wall clock per span path — stages,
+//! per-source parsers, experiments — and per-parser record counters)
+//! as stable JSON — the file committed as `BENCH_<date>.json`.
 //!
 //! `--scale N` multiplies the record-producing populations
 //! ([`WorldConfig::paper_scaled`]): N× the routed prefixes, listings,
@@ -153,14 +153,14 @@ fn main() {
         die("--chaos corrupts text archives; drop it or use --format text");
     }
 
+    let tracer = droplens_obs::trace::global();
     if trace_out.is_some() {
-        droplens_obs::trace::global().enable();
+        tracer.enable();
     }
 
-    let obs = droplens_obs::global();
-    let run_span = obs.span("reproduce");
+    let run_span = tracer.span("reproduce", "stage");
 
-    let gen_span = obs.span("generate");
+    let gen_span = tracer.span("generate", "stage");
     let config = WorldConfig::paper_scaled(scale);
     let world = World::generate(seed, &config);
     let generated_in = gen_span.finish();
@@ -195,7 +195,7 @@ fn main() {
     // (`Study::from_text`, `Study::from_binary` and `Study::from_world`
     // produce identical studies; the round trips are covered by core's
     // tests.)
-    let study_span = obs.span("study");
+    let study_span = tracer.span("study", "stage");
     let mut study_config = StudyConfig::new(DateRange::inclusive(
         world.config.study_start,
         world.config.study_end,
@@ -205,7 +205,7 @@ fn main() {
     let loaded = match format {
         Format::Text => {
             let mut text = {
-                let _span = obs.span("serialize");
+                let _span = tracer.span("serialize", "stage");
                 world.to_text_archives()
             };
             if let Some(chaos_seed) = chaos {
@@ -221,7 +221,7 @@ fn main() {
         }
         Format::Binary => {
             let bin = {
-                let _span = obs.span("serialize");
+                let _span = tracer.span("serialize", "stage");
                 world.to_binary_archives()
             };
             Study::from_binary(study_config, world.peers.clone(), &bin)
@@ -252,10 +252,18 @@ fn main() {
     println!("=== droplens reproduction (seed {seed}) ===\n");
 
     // Compute every experiment exactly once, fanning out across workers
-    // (each records its own `reproduce/experiments/<name>` span), then
-    // print from this thread in the paper's presentation order.
-    let results =
-        paper::ExperimentResults::compute_with_spans(&study, Some("reproduce/experiments"));
+    // (each keys its span under `reproduce/experiments/<name>`), and
+    // evaluate the scorecard from those results; then print from this
+    // thread in the paper's presentation order.
+    let (results, targets) = {
+        let _span = tracer.span("experiments", "stage");
+        let results = paper::ExperimentResults::compute(&study);
+        let targets = {
+            let _span = tracer.span("scorecard", "stage");
+            paper::scorecard_with(&study, &results)
+        };
+        (results, targets)
+    };
 
     present("Study overview", &results.summary);
     present("Figure 1 — classification of DROP entries", &results.fig1);
@@ -290,17 +298,11 @@ fn main() {
     present("Extension — attacker-AS dossiers", &results.ext_profiles);
 
     section("Scorecard — paper vs measured");
-    {
-        // Evaluates the precomputed results — the suite is not recomputed.
-        let _span = obs.span("experiments/scorecard");
-        let targets = paper::scorecard_with(&study, &results);
-        println!("{}", paper::render(&targets));
-    }
+    println!("{}", paper::render(&targets));
 
     eprintln!("total: {:?}", run_span.finish());
 
     if let Some(path) = trace_out {
-        let tracer = droplens_obs::trace::global();
         tracer.disable();
         let trace = tracer.drain();
         match std::fs::write(&path, trace.to_chrome_json()) {
@@ -325,7 +327,7 @@ fn main() {
     // Fold mem.* gauges in before any report snapshot, so
     // `--metrics-json` + `--mem` produce one consistent document.
     if mem.is_some() {
-        droplens_obs::alloc::record_gauges(obs);
+        droplens_obs::alloc::record_gauges(droplens_obs::global());
     }
 
     // Shared report stamp: workload identity plus the ingest-throughput
@@ -351,7 +353,7 @@ fn main() {
     };
 
     if let Some(path) = metrics_json {
-        let mut report = obs.report();
+        let mut report = droplens_obs::run_report();
         stamp(&mut report);
         match std::fs::write(&path, report.to_json()) {
             Ok(()) => eprintln!("metrics written to {}", path.display()),
@@ -365,7 +367,7 @@ fn main() {
     match mem {
         Some(MemSink::Stderr) => eprintln!("{}", droplens_obs::alloc::snapshot().summary()),
         Some(MemSink::Json(path)) => {
-            let mut report = obs.report();
+            let mut report = droplens_obs::run_report();
             stamp(&mut report);
             report.meta.insert("mem".to_owned(), "on".to_owned());
             match std::fs::write(&path, report.to_json()) {

@@ -31,7 +31,8 @@ pub enum CliError {
     /// Ingestion failure: strict parse error, error budget breach, or
     /// coverage gap beyond the configured budget.
     Ingest(droplens_net::IngestError),
-    /// Bad usage (unknown flag, missing argument, ...).
+    /// Bad usage (unknown flag, missing argument, ...): the only error
+    /// the binary follows with the usage text.
     Usage(String),
     /// A perf or mem regression gate tripped: the carried string is the
     /// full diff rendering, which the binary prints before exiting

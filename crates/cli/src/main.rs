@@ -67,7 +67,7 @@ fn main() -> ExitCode {
         droplens_obs::alloc::record_gauges(droplens_obs::global());
     }
     if let Some(sink) = metrics {
-        let mut report = droplens_obs::global().report();
+        let mut report = droplens_obs::run_report();
         report.meta.insert("command".to_owned(), args.join(" "));
         match sink {
             MetricsSink::Stderr => eprint!("{}", report.to_text()),
@@ -82,7 +82,7 @@ fn main() -> ExitCode {
         match sink {
             MetricsSink::Stderr => eprintln!("{}", droplens_obs::alloc::snapshot().summary()),
             MetricsSink::Json(path) => {
-                let mut report = droplens_obs::global().report();
+                let mut report = droplens_obs::run_report();
                 report.meta.insert("command".to_owned(), args.join(" "));
                 report.meta.insert("mem".to_owned(), "on".to_owned());
                 if let Err(e) = std::fs::write(&path, report.to_json()) {
@@ -99,29 +99,18 @@ fn main() -> ExitCode {
             print!("{output}");
             ExitCode::SUCCESS
         }
-        // A tripped perf/mem gate still prints its diff table; the
-        // failure is in the measured numbers, not the invocation.
-        Err(CliError::Gate(output)) => {
-            print!("{output}");
-            eprintln!("droplens: regression gate failed");
-            ExitCode::FAILURE
-        }
-        // Same shape for lint: the report is the payload, the failure
-        // is in the findings, not the invocation.
-        Err(CliError::Lint(output)) => {
-            print!("{output}");
-            eprintln!("droplens: lint failed");
-            ExitCode::FAILURE
-        }
-        // Serve/query failures carry their report the same way.
-        Err(CliError::Serve(output)) => {
-            print!("{output}");
-            eprintln!("droplens: serve failed");
-            ExitCode::FAILURE
-        }
         Err(e) => {
+            // A tripped perf/mem gate, lint findings and serve failures
+            // carry their report as the payload: print it first.
+            if let CliError::Gate(output) | CliError::Lint(output) | CliError::Serve(output) = &e {
+                print!("{output}");
+            }
             eprintln!("droplens: {e}");
-            eprintln!("{USAGE}");
+            // Only a malformed invocation earns the usage text; a data
+            // or IO error is reported with its location alone.
+            if matches!(e, CliError::Usage(_)) {
+                eprintln!("{USAGE}");
+            }
             ExitCode::FAILURE
         }
     }

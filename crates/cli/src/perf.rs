@@ -15,6 +15,13 @@
 //! the unit ([`DiffUnit`]): `perf diff` compares span wall-clock in
 //! seconds, `mem diff` compares `mem.*` gauges and per-span
 //! `alloc_bytes` columns in bytes.
+//!
+//! A span that ran inside a fork-join fan-out in any report
+//! ([`droplens_obs::SpanStat::concurrent`]) sums wall-clock across
+//! workers that share the cores, so its total grows with the worker
+//! count even when its work does not. `perf diff` compares such a span
+//! by on-CPU time instead, keyed `{path} (cpu)`, as long as every
+//! report that has it recorded one.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -101,13 +108,16 @@ impl Default for MemDiffOptions {
 /// print it and exit nonzero.
 pub fn diff(base_list: &str, head_list: &str, opts: &DiffOptions) -> Result<String, CliError> {
     let floor_ns = (opts.floor_ms * 1e6).max(0.0) as u64;
+    let base = load_side("base", base_list)?;
+    let head = load_side("head", head_list)?;
+    let by_cpu = cpu_compared(base.iter().chain(&head));
     diff_gate(
-        base_list,
-        head_list,
+        &base,
+        &head,
         DiffUnit::Seconds,
         opts.gate_pct,
         floor_ns,
-        span_totals,
+        |r| span_totals(r, &by_cpu),
     )
 }
 
@@ -120,8 +130,8 @@ pub fn mem_diff(
     opts: &MemDiffOptions,
 ) -> Result<String, CliError> {
     diff_gate(
-        base_list,
-        head_list,
+        &load_side("base", base_list)?,
+        &load_side("head", head_list)?,
         DiffUnit::Bytes,
         opts.gate_pct,
         opts.floor_bytes,
@@ -129,20 +139,18 @@ pub fn mem_diff(
     )
 }
 
-/// The shared diff/gate engine: load both sides, collapse best-of-N via
+/// The shared diff/gate engine: collapse each side best-of-N via
 /// `extract`, render the comparison table, and apply the gate.
 fn diff_gate(
-    base_list: &str,
-    head_list: &str,
+    base_reports: &[RunReport],
+    head_reports: &[RunReport],
     unit: DiffUnit,
     gate_pct: Option<f64>,
     floor: u64,
-    extract: fn(&RunReport) -> BTreeMap<String, u64>,
+    extract: impl Fn(&RunReport) -> BTreeMap<String, u64>,
 ) -> Result<String, CliError> {
-    let base_reports = load_side("base", base_list)?;
-    let head_reports = load_side("head", head_list)?;
-    let base = best_of(&base_reports, extract);
-    let head = best_of(&head_reports, extract);
+    let base = best_of(base_reports, &extract);
+    let head = best_of(head_reports, &extract);
 
     let keys: BTreeSet<&String> = base.keys().chain(head.keys()).collect();
     let mut table = TextTable::new(vec![unit.metric_label(), "base", "head", "delta", "status"]);
@@ -245,7 +253,7 @@ fn load_side(side: &str, list: &str) -> Result<Vec<RunReport>, CliError> {
 /// Best-of-N: each metric's minimum across the side's reports.
 fn best_of(
     reports: &[RunReport],
-    extract: fn(&RunReport) -> BTreeMap<String, u64>,
+    extract: impl Fn(&RunReport) -> BTreeMap<String, u64>,
 ) -> BTreeMap<String, u64> {
     let mut out: BTreeMap<String, u64> = BTreeMap::new();
     for r in reports {
@@ -256,11 +264,33 @@ fn best_of(
     out
 }
 
-/// `perf diff` metrics: span wall-clock totals by path.
-fn span_totals(r: &RunReport) -> BTreeMap<String, u64> {
+/// The span paths `perf diff` compares by on-CPU time: concurrent in
+/// at least one report, with on-CPU time in every report that has them.
+fn cpu_compared<'a>(reports: impl Iterator<Item = &'a RunReport> + Clone) -> BTreeSet<&'a str> {
+    let rows = reports.flat_map(|r| &r.spans);
+    let concurrent = rows.clone().filter(|(_, s)| s.concurrent > 0);
+    let unmeasured: BTreeSet<&str> = rows
+        .filter(|(_, s)| s.cpu_ns == 0 && s.total_ns > 0)
+        .map(|(p, _)| p.as_str())
+        .collect();
+    concurrent
+        .map(|(p, _)| p.as_str())
+        .filter(|p| !unmeasured.contains(p))
+        .collect()
+}
+
+/// `perf diff` metrics: span totals by path — wall-clock, or on-CPU
+/// time under `{path} (cpu)` for the paths in `by_cpu`.
+fn span_totals(r: &RunReport, by_cpu: &BTreeSet<&str>) -> BTreeMap<String, u64> {
     r.spans
         .iter()
-        .map(|(path, stat)| (path.clone(), stat.total_ns))
+        .map(|(path, stat)| {
+            if by_cpu.contains(path.as_str()) {
+                (format!("{path} (cpu)"), stat.cpu_ns)
+            } else {
+                (path.clone(), stat.total_ns)
+            }
+        })
         .collect()
 }
 
@@ -286,27 +316,39 @@ fn mem_metrics(r: &RunReport) -> BTreeMap<String, u64> {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
-    use droplens_obs::Registry;
-    use std::time::Duration;
+    use droplens_obs::SpanStat;
+
+    /// A report with one span per `(path, total_ns, alloc_bytes)`.
+    fn report_with(spans: &[(&str, u64, u64)]) -> RunReport {
+        let mut r = RunReport::default();
+        for &(path, total_ns, alloc_bytes) in spans {
+            let stat = SpanStat {
+                count: 1,
+                total_ns,
+                alloc_bytes,
+                ..SpanStat::default()
+            };
+            r.spans.insert(path.to_owned(), stat);
+        }
+        r
+    }
 
     fn report_json(spans: &[(&str, u64)]) -> String {
-        let r = Registry::new();
-        for (path, ms) in spans {
-            r.record_span(path, Duration::from_millis(*ms));
-        }
-        r.report().to_json()
+        let spans: Vec<_> = spans
+            .iter()
+            .map(|&(p, ms)| (p, ms * 1_000_000, 0))
+            .collect();
+        report_with(&spans).to_json()
     }
 
     /// A report with `mem.*` gauges and byte-carrying spans.
     fn mem_report_json(gauges: &[(&str, i64)], spans: &[(&str, u64)]) -> String {
-        let r = Registry::new();
-        for (name, v) in gauges {
-            r.gauge(name).set(*v);
+        let spans: Vec<_> = spans.iter().map(|&(p, b)| (p, 10_000_000, b)).collect();
+        let mut r = report_with(&spans);
+        for &(name, v) in gauges {
+            r.gauges.insert(name.to_owned(), v);
         }
-        for (path, bytes) in spans {
-            r.record_span_alloc(path, Duration::from_millis(10), *bytes, 0);
-        }
-        r.report().to_json()
+        r.to_json()
     }
 
     fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
@@ -382,6 +424,74 @@ mod tests {
         let out = diff(a.to_str().unwrap(), b.to_str().unwrap(), &opts).unwrap();
         assert!(out.contains("below-floor"), "{out}");
         assert!(out.contains("PASS"), "{out}");
+    }
+
+    /// A report with one span at `path`: wall and on-CPU milliseconds,
+    /// and how many of its spans ran concurrently.
+    fn cpu_report_json(path: &str, wall_ms: u64, cpu_ms: u64, concurrent: u64) -> String {
+        let mut r = RunReport::default();
+        let stat = SpanStat {
+            count: 4,
+            total_ns: wall_ms * 1_000_000,
+            cpu_ns: cpu_ms * 1_000_000,
+            concurrent,
+            ..SpanStat::default()
+        };
+        r.spans.insert(path.to_owned(), stat);
+        r.to_json()
+    }
+
+    #[test]
+    fn concurrent_spans_compare_on_cpu_time() {
+        // One worker: wall = CPU. Eight workers on fewer cores: the
+        // summed wall-clock triples while the work barely moves.
+        let one = write_temp("cpu_one.json", &cpu_report_json("load/parse", 100, 98, 0));
+        let eight = write_temp(
+            "cpu_eight.json",
+            &cpu_report_json("load/parse", 300, 105, 4),
+        );
+        let opts = DiffOptions {
+            gate_pct: Some(15.0),
+            floor_ms: 5.0,
+        };
+        let out = diff(one.to_str().unwrap(), eight.to_str().unwrap(), &opts).unwrap();
+        assert!(out.contains("load/parse (cpu)"), "{out}");
+        assert!(out.contains("PASS"), "{out}");
+        // More work on the workers is still a regression.
+        let slower = write_temp(
+            "cpu_slower.json",
+            &cpu_report_json("load/parse", 300, 150, 4),
+        );
+        let err = diff(one.to_str().unwrap(), slower.to_str().unwrap(), &opts).unwrap_err();
+        let CliError::Gate(out) = err else {
+            panic!("expected gate failure");
+        };
+        assert!(out.contains("load/parse (cpu) +53.1%"), "{out}");
+    }
+
+    #[test]
+    fn spans_without_cpu_time_compare_on_wall() {
+        // A report without on-CPU time (an older build, or a platform
+        // without schedstat) keeps the wall-clock comparison.
+        let old = write_temp("nocpu_old.json", &cpu_report_json("load/parse", 100, 0, 0));
+        let new = write_temp(
+            "nocpu_new.json",
+            &cpu_report_json("load/parse", 300, 105, 4),
+        );
+        let err = diff(
+            old.to_str().unwrap(),
+            new.to_str().unwrap(),
+            &DiffOptions {
+                gate_pct: Some(15.0),
+                floor_ms: 5.0,
+            },
+        )
+        .unwrap_err();
+        let CliError::Gate(out) = err else {
+            panic!("expected gate failure");
+        };
+        assert!(out.contains("load/parse +200.0%"), "{out}");
+        assert!(!out.contains("(cpu)"), "{out}");
     }
 
     #[test]

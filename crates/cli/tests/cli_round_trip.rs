@@ -144,6 +144,41 @@ fn analyze_permissive_quarantines_corruption_and_writes_ledger() {
 }
 
 #[test]
+fn data_errors_print_the_located_error_without_usage() {
+    let dir = temp_dir("nousage");
+    commands::generate(&dir, 7, "small").expect("generate");
+    let updates = dir.join("bgp/updates.txt");
+    let text = std::fs::read_to_string(&updates).expect("read updates");
+    let corrupted: Vec<&str> = text
+        .lines()
+        .enumerate()
+        .map(|(i, l)| if i == 2 { "not a bgp update" } else { l })
+        .collect();
+    std::fs::write(&updates, corrupted.join("\n") + "\n").expect("write updates");
+    let droplens = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_droplens"))
+            .args(args)
+            .output()
+            .expect("run droplens")
+    };
+
+    let dir_arg = dir.to_string_lossy().into_owned();
+    let out = droplens(&["analyze", "--dir", &dir_arg, "--format", "text"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "strict analyze must fail");
+    assert!(stderr.contains("bgp/updates.txt:3"), "{stderr}");
+    assert!(!stderr.contains(droplens_cli::USAGE), "{stderr}");
+
+    // A malformed invocation still earns the usage text.
+    let out = droplens(&["analyze", "--dir", &dir_arg, "--bogus"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains(droplens_cli::USAGE), "{stderr}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn layout_read_rejects_missing_manifest() {
     let dir = temp_dir("nomanifest");
     std::fs::create_dir_all(&dir).expect("mkdir");

@@ -93,24 +93,12 @@ pub struct ExperimentResults {
     pub ext_profiles: experiments::ext_profiles::ExtProfiles,
 }
 
-/// Run one experiment, optionally recording its wall clock as an obs span
-/// at `<span_prefix>/<name>`. Spans are recorded with explicit full paths
-/// because the experiments may run on worker threads, where the span
-/// stack's automatic nesting would lose the caller's prefix.
-fn timed<T>(span_prefix: Option<&str>, name: &str, f: impl FnOnce() -> T) -> T {
-    match span_prefix {
-        None => f(),
-        Some(prefix) => {
-            // The trace span still nests automatically: the worker
-            // adopted the caller's span when the join fanned out.
-            let tspan = droplens_obs::trace::global().span(name, "experiment");
-            let t0 = droplens_obs::Stopwatch::start();
-            let v = f();
-            tspan.finish();
-            droplens_obs::global().record_span(&format!("{prefix}/{name}"), t0.elapsed());
-            v
-        }
-    }
+/// Run one experiment under a span named after it, which keys under
+/// whatever span the caller has open (the workers adopt it when the
+/// join fans out).
+fn timed<T>(name: &str, f: impl FnOnce() -> T) -> T {
+    let _span = droplens_obs::trace::global().span(name, "experiment");
+    f()
 }
 
 impl ExperimentResults {
@@ -118,13 +106,6 @@ impl ExperimentResults {
     /// Results land in named fields, so the output is identical at any
     /// `DROPLENS_THREADS`.
     pub fn compute(study: &Study) -> ExperimentResults {
-        Self::compute_with_spans(study, None)
-    }
-
-    /// [`Self::compute`], recording each experiment's wall clock under
-    /// `<span_prefix>/<name>` (e.g. `reproduce/experiments/fig5`).
-    pub fn compute_with_spans(study: &Study, span_prefix: Option<&str>) -> ExperimentResults {
-        let p = span_prefix;
         let (
             (summary, fig1, fig2, table1),
             (sec5, fig3, fig4, fig5),
@@ -133,38 +114,34 @@ impl ExperimentResults {
         ) = droplens_par::join4(
             || {
                 droplens_par::join4(
-                    || timed(p, "summary", || experiments::summary::compute(study)),
-                    || timed(p, "fig1", || experiments::fig1::compute(study)),
-                    || timed(p, "fig2", || experiments::fig2::compute(study)),
-                    || timed(p, "table1", || experiments::table1::compute(study)),
+                    || timed("summary", || experiments::summary::compute(study)),
+                    || timed("fig1", || experiments::fig1::compute(study)),
+                    || timed("fig2", || experiments::fig2::compute(study)),
+                    || timed("table1", || experiments::table1::compute(study)),
                 )
             },
             || {
                 droplens_par::join4(
-                    || timed(p, "sec5", || experiments::sec5::compute(study)),
-                    || timed(p, "fig3", || experiments::fig3::compute(study)),
-                    || timed(p, "fig4", || experiments::fig4::compute(study)),
-                    || timed(p, "fig5", || experiments::fig5::compute(study)),
+                    || timed("sec5", || experiments::sec5::compute(study)),
+                    || timed("fig3", || experiments::fig3::compute(study)),
+                    || timed("fig4", || experiments::fig4::compute(study)),
+                    || timed("fig5", || experiments::fig5::compute(study)),
                 )
             },
             || {
                 droplens_par::join4(
-                    || timed(p, "fig6", || experiments::fig6::compute(study)),
-                    || timed(p, "fig7", || experiments::fig7::compute(study)),
-                    || timed(p, "table2", || experiments::table2::compute(study)),
-                    || timed(p, "sec4", || experiments::sec4::compute(study)),
+                    || timed("fig6", || experiments::fig6::compute(study)),
+                    || timed("fig7", || experiments::fig7::compute(study)),
+                    || timed("table2", || experiments::table2::compute(study)),
+                    || timed("sec4", || experiments::sec4::compute(study)),
                 )
             },
             || {
                 droplens_par::join4(
-                    || timed(p, "sec6", || experiments::sec6::compute(study)),
-                    || timed(p, "ext_maxlen", || experiments::ext_maxlen::compute(study)),
-                    || timed(p, "ext_rov", || experiments::ext_rov::compute(study)),
-                    || {
-                        timed(p, "ext_profiles", || {
-                            experiments::ext_profiles::compute(study)
-                        })
-                    },
+                    || timed("sec6", || experiments::sec6::compute(study)),
+                    || timed("ext_maxlen", || experiments::ext_maxlen::compute(study)),
+                    || timed("ext_rov", || experiments::ext_rov::compute(study)),
+                    || timed("ext_profiles", || experiments::ext_profiles::compute(study)),
                 )
             },
         );

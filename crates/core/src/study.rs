@@ -156,7 +156,7 @@ impl Study {
         ));
         config.manual_labels = world.manual_labels();
 
-        let index_span = droplens_obs::global().span("index");
+        let index_span = droplens_obs::trace::global().span("index", "stage");
         // The five indices are built from disjoint inputs, so they fan out
         // across workers; results land in fixed tuple positions, keeping
         // the study identical at any `DROPLENS_THREADS`.
@@ -204,8 +204,7 @@ impl Study {
         peers: Vec<Peer>,
         text: &TextArchives,
     ) -> Result<Study, IngestError> {
-        let obs = droplens_obs::global();
-        let mut load_span = obs.span("load");
+        let mut load_span = droplens_obs::trace::global().span("load", "stage");
         let policy = config.ingest;
         // The five wire formats parse independently (each closure owns one
         // source, its counters commute, and its quarantine ledger is
@@ -336,8 +335,7 @@ impl Study {
         peers: Vec<Peer>,
         bin: &BinaryArchives,
     ) -> Result<Study, IngestError> {
-        let obs = droplens_obs::global();
-        let mut load_span = obs.span("load");
+        let mut load_span = droplens_obs::trace::global().span("load", "stage");
         let policy = config.ingest;
         // Same fan-out shape as `from_text`: five independent sources,
         // fixed tuple positions, deterministic at any worker count.
@@ -553,7 +551,7 @@ impl Study {
             .sources
             .get("bgp")
             .is_some_and(|s| s.quarantine.quarantined > 0);
-        let index_span = obs.span("index");
+        let index_span = droplens_obs::trace::global().span("index", "stage");
         let (bgp, irr, roa, rir, drop) = droplens_par::join5(
             || {
                 let mut bgp = BgpArchive::from_updates(peers.clone(), &updates);
@@ -600,13 +598,14 @@ impl Study {
         ingest: IngestReport,
     ) -> Study {
         let obs = droplens_obs::global();
-        let mut annotate_span = obs.span("annotate");
+        let tracer = droplens_obs::trace::global();
+        let mut annotate_span = tracer.span("annotate", "stage");
         // Entries annotate independently; `par_map` preserves listing order.
         let mut entries: Vec<StudyEntry> =
             droplens_par::par_map(drop.entries(), |e| annotate(e, &sbl, &rir, &config));
         annotate_span.arg_u64("entries", entries.len() as u64);
         annotate_span.finish();
-        let correlate_span = obs.span("correlate");
+        let correlate_span = tracer.span("correlate", "stage");
         mark_afrinic_incidents(&mut entries);
         correlate_span.finish();
         obs.counter("study.entries").add(entries.len() as u64);

@@ -247,7 +247,7 @@ fn no_wallclock(view: &FileView<'_>, hits: &mut Vec<Hit>) {
                 line: view.line(i),
                 rule: Rule::NoWallclock,
                 message: format!(
-                    "`{name}::now()` outside obs — go through droplens_obs (Span/Stopwatch) instead"
+                    "`{name}::now()` outside obs — go through droplens_obs (Clock/Stopwatch) instead"
                 ),
             });
         }

@@ -34,10 +34,9 @@
 //! saves the shard's current span-peak, rebases it to the present live
 //! level, and `finish` restores `max(saved, inner peak)` — so an outer
 //! span's peak always includes whatever its inner spans reached. The
-//! tracer opens a mark per trace span ([`crate::trace::TraceGuard`])
-//! and [`crate::Span`] reads the cumulative counters, which is how
-//! every span in a trace carries `alloc_bytes`/`freed_bytes`/
-//! `peak_delta` and every registry path carries byte columns.
+//! tracer opens a mark per span ([`crate::trace::TraceGuard`]), which
+//! is how every span-table row carries `alloc_bytes`/`freed_bytes` and
+//! every trace event also carries `peak_delta`.
 //!
 //! Attribution is per-thread: a parser span running on a pool worker
 //! charges the worker's shard, and its trace span (adopted under the
@@ -103,8 +102,8 @@ static SHARDS: [Shard; MAX_SHARDS] = [ZERO_SHARD; MAX_SHARDS];
 /// [`MAX_SHARDS`]; indices wrap).
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 
-/// Set by the first tracked allocation. While false, [`mark`] and
-/// [`thread_counts`] return `None`, so binaries *without* the tracking
+/// Set by the first tracked allocation. While false, [`mark`] returns
+/// `None`, so binaries *without* the tracking
 /// allocator installed (unit-test runners, downstream users of the
 /// library) skip attribution entirely.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -249,29 +248,6 @@ unsafe impl<A: GlobalAlloc> GlobalAlloc for TrackingAlloc<A> {
 /// this process — i.e. whether attribution data exists.
 pub fn is_active() -> bool {
     ACTIVE.load(Relaxed)
-}
-
-/// A thread's cumulative allocation counters at one instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemCounts {
-    /// Bytes allocated by this thread so far.
-    pub alloc_bytes: u64,
-    /// Bytes freed by this thread so far.
-    pub freed_bytes: u64,
-}
-
-/// The calling thread's cumulative counters, or `None` when no tracking
-/// allocator is installed. Subtract two readings for a region's
-/// alloc/freed delta (no peak — use [`mark`] for that).
-pub fn thread_counts() -> Option<MemCounts> {
-    if !is_active() {
-        return None;
-    }
-    let s = shard();
-    Some(MemCounts {
-        alloc_bytes: s.alloc_bytes.load(Relaxed),
-        freed_bytes: s.freed_bytes.load(Relaxed),
-    })
 }
 
 /// The calling thread's current net allocation (`alloc - freed`),

@@ -14,6 +14,8 @@
 //! [`Clock::mock`], so window expiry and rate math are deterministic in
 //! tests without sleeping.
 
+use std::fs::File;
+use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -98,10 +100,36 @@ impl Clock {
         }
     }
 
+    /// The calling thread's on-CPU nanoseconds, from the scheduler's
+    /// runtime in `/proc/thread-self/schedstat`; `None` where that file
+    /// is absent. The kernel folds in the running thread's time at
+    /// scheduler ticks, so one reading can trail by a tick, but the
+    /// error of a difference averages out over many spans. Under
+    /// [`Clock::mock`] a thread is always on-CPU: the mock reading.
+    pub fn thread_cpu_ns(&self) -> Option<u64> {
+        match &*self.0 {
+            ClockInner::Real(_) => schedstat_runtime_ns(),
+            ClockInner::Mock(ns) => Some(ns.load(Ordering::Relaxed)),
+        }
+    }
+
     /// True for clocks built with [`Clock::mock`].
     pub fn is_mock(&self) -> bool {
         matches!(&*self.0, ClockInner::Mock(_))
     }
+}
+
+/// The first field of `/proc/thread-self/schedstat`. Reads into a
+/// stack buffer: spans call this around their memory attribution, so
+/// it must not allocate.
+fn schedstat_runtime_ns() -> Option<u64> {
+    let mut buf = [0u8; 64];
+    let n = File::open("/proc/thread-self/schedstat")
+        .and_then(|mut f| f.read(&mut buf))
+        .ok()?;
+    // The field must end in a space: a short read cannot cut it.
+    let (runtime, _) = std::str::from_utf8(buf.get(..n)?).ok()?.split_once(' ')?;
+    runtime.parse().ok()
 }
 
 #[cfg(test)]
@@ -127,6 +155,27 @@ mod tests {
         // advance is a documented no-op for real clocks.
         clock.advance(Duration::from_secs(1));
         assert!(clock.now_ns() < 1_000_000_000 + a + 60_000_000_000);
+    }
+
+    #[test]
+    fn thread_cpu_time_advances_with_work() {
+        let mock = Clock::mock();
+        mock.advance(Duration::from_nanos(5));
+        assert_eq!(mock.thread_cpu_ns(), Some(5));
+        let clock = Clock::real();
+        if !cfg!(target_os = "linux") {
+            return; // no schedstat
+        }
+        let before = clock.thread_cpu_ns().unwrap_or(u64::MAX);
+        assert_ne!(before, u64::MAX, "schedstat unreadable");
+        // Spin past several scheduler ticks.
+        let sw = Stopwatch::start();
+        let mut x = 0u64;
+        while sw.elapsed() < Duration::from_millis(40) {
+            x = std::hint::black_box(x.wrapping_add(1));
+        }
+        let after = clock.thread_cpu_ns().unwrap_or(0);
+        assert!(after > before, "{before} -> {after}");
     }
 
     #[test]

@@ -1,38 +1,40 @@
 //! droplens-obs: pipeline-wide instrumentation for droplens.
 //!
-//! A zero-heavy-dependency observability layer: counters, gauges, and
-//! log-bucket histograms ([`metrics`]), RAII span timers with nested
-//! paths ([`Span`]), a thread-safe [`Registry`] collecting them, and two
-//! renderers — a human text summary and a stable hand-rolled JSON
-//! document ([`RunReport`]) suitable for machine-readable run reports.
+//! Three parts, one report:
 //!
-//! The pipeline's built-in instrumentation records into the process-wide
-//! [`global`] registry; libraries that want isolation can carry their own
-//! [`Registry`] (cloning is one `Arc`).
+//! - [`Registry`]: named counters, gauges and log-bucket histograms
+//!   ([`metrics`]) plus per-source error samples. The pipeline records
+//!   into the process-wide [`global`] registry; libraries that want
+//!   isolation carry their own (cloning is one `Arc`).
+//! - [`trace`]: the one span model. Every [`Tracer::span`] adds to a
+//!   per-path span table (`study/load/parse.bgp.updates`), nesting
+//!   across fork-join workers, and — while the tracer is enabled —
+//!   records a timeline event for Chrome trace-event JSON and a
+//!   deterministic text tree.
+//! - [`alloc`]: an allocation-tracking `#[global_allocator]` wrapper
+//!   ([`TrackingAlloc`]) with per-thread shards. When installed, every
+//!   span also carries `alloc_bytes`/`freed_bytes`, traces grow
+//!   per-worker `live_bytes` timelines, and run reports gain `mem.*`
+//!   gauges.
 //!
-//! On top of the aggregate view sits [`trace`]: a hierarchical tracer
-//! with per-worker timelines, per-thread event buffers, Chrome
-//! trace-event JSON export (loadable in Perfetto / `chrome://tracing`),
-//! and a deterministic text tree for test assertions. It is off by
-//! default and costs one atomic load per span when disabled.
-//!
-//! The third observability axis is memory: [`alloc`] provides an
-//! allocation-tracking `#[global_allocator]` wrapper ([`TrackingAlloc`])
-//! with per-thread shard counters and per-span attribution — when it is
-//! installed, every span and trace event additionally carries
-//! `alloc_bytes`/`freed_bytes`/`peak_delta`, traces grow per-worker
-//! `live_bytes` counter timelines, and run reports gain `mem.*` gauges.
+//! [`run_report()`] joins the global registry with the global tracer's
+//! span table into a [`RunReport`], rendered as a text summary or a
+//! stable JSON document (`droplens-obs/1`).
 //!
 //! ```
+//! use droplens_obs::trace::Tracer;
 //! let reg = droplens_obs::Registry::new();
+//! let tracer = Tracer::new();
 //! let parsed = reg.counter("bgp.records.parsed");
 //! {
-//!     let _span = reg.span("parse");
+//!     let _load = tracer.span("load", "stage");
+//!     let _parse = tracer.span("parse", "parse");
 //!     parsed.add(3);
 //! }
-//! let report = reg.report();
+//! let mut report = reg.report();
+//! report.spans = tracer.span_table();
 //! assert_eq!(report.counters["bgp.records.parsed"], 3);
-//! assert_eq!(report.spans["parse"].count, 1);
+//! assert_eq!(report.spans["load/parse"].count, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -44,15 +46,13 @@ pub mod metrics;
 pub mod registry;
 pub mod report;
 pub mod run_report;
-pub mod span;
 pub mod trace;
 pub mod window;
 
-pub use alloc::{MemCounts, MemDelta, MemMark, MemSnapshot, TrackingAlloc};
+pub use alloc::{MemDelta, MemMark, MemSnapshot, TrackingAlloc};
 pub use clock::{Clock, Stopwatch};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
-pub use registry::{global, ErrorLog, Registry, SpanStat, ERROR_SAMPLES_KEPT};
-pub use run_report::{RunReport, SpanRollup};
-pub use span::Span;
-pub use trace::{ArgValue, Trace, TraceEvent, TraceGuard, Tracer};
+pub use registry::{global, ErrorLog, Registry, ERROR_SAMPLES_KEPT};
+pub use run_report::{run_report, RunReport};
+pub use trace::{ArgValue, SpanRef, SpanStat, Trace, TraceEvent, TraceGuard, Tracer};
 pub use window::{WindowConfig, WindowedCounter, WindowedHistogram};

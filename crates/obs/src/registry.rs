@@ -5,35 +5,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::run_report::RunReport;
-use crate::span::Span;
 
 /// How many error samples each source retains (the first N seen).
 pub const ERROR_SAMPLES_KEPT: usize = 5;
-
-/// Accumulated timing (and, with a tracking allocator installed,
-/// allocation) of one span path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Number of completed spans on this path.
-    pub count: u64,
-    /// Total wall-clock across them, nanoseconds.
-    pub total_ns: u64,
-    /// Bytes allocated on the recording threads inside these spans
-    /// (0 without a tracking allocator).
-    pub alloc_bytes: u64,
-    /// Bytes freed on the recording threads inside these spans.
-    pub freed_bytes: u64,
-}
-
-impl SpanStat {
-    /// Mean wall-clock per span, nanoseconds.
-    pub fn mean_ns(&self) -> u64 {
-        match self.count {
-            0 => 0,
-            n => self.total_ns / n,
-        }
-    }
-}
 
 /// Error tally for one source: total seen plus the first few samples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -49,7 +23,6 @@ struct Inner {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    spans: Mutex<BTreeMap<String, SpanStat>>,
     errors: Mutex<BTreeMap<String, ErrorLog>>,
 }
 
@@ -89,49 +62,6 @@ impl Registry {
         map.entry(name.to_owned()).or_default().clone()
     }
 
-    /// Start an RAII span timer named `name`.
-    ///
-    /// The span's registry path nests under any span currently open on
-    /// this thread (`parent/child`); the duration is recorded when the
-    /// returned guard drops (or on [`Span::finish`]).
-    pub fn span(&self, name: &str) -> Span {
-        Span::enter(self.clone(), name)
-    }
-
-    /// Record a completed span (used by [`Span`]; callers can also feed
-    /// externally measured durations).
-    ///
-    /// Paths are normalized (empty segments collapse, edge slashes
-    /// trim), so an explicitly recorded `"a//b"` or `"/a/b"` aggregates
-    /// under the same `a/b` key an RAII span would produce — nested
-    /// paths stay consistently related to their parent prefix, and the
-    /// report's rollup view ([`RunReport::span_rollups`]) can synthesize
-    /// unrecorded ancestors reliably.
-    pub fn record_span(&self, path: &str, duration: std::time::Duration) {
-        self.record_span_alloc(path, duration, 0, 0);
-    }
-
-    /// Record a completed span together with its allocation delta (used
-    /// by [`Span`] when a tracking allocator is active; the byte columns
-    /// stay zero otherwise). Path normalization as [`Registry::record_span`].
-    pub fn record_span_alloc(
-        &self,
-        path: &str,
-        duration: std::time::Duration,
-        alloc_bytes: u64,
-        freed_bytes: u64,
-    ) {
-        let path = normalize_span_path(path);
-        let mut map = lock(&self.inner.spans);
-        let stat = map.entry(path).or_default();
-        stat.count += 1;
-        stat.total_ns = stat
-            .total_ns
-            .saturating_add(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
-        stat.alloc_bytes = stat.alloc_bytes.saturating_add(alloc_bytes);
-        stat.freed_bytes = stat.freed_bytes.saturating_add(freed_bytes);
-    }
-
     /// Record one error for `source`, retaining the first
     /// [`ERROR_SAMPLES_KEPT`] sample messages.
     pub fn error_sample(&self, source: &str, message: impl Into<String>) {
@@ -143,7 +73,9 @@ impl Registry {
         }
     }
 
-    /// Snapshot every metric into a plain-data report.
+    /// Snapshot every metric into a plain-data report. Spans live in
+    /// the tracer, so `spans` is empty here; [`crate::run_report()`]
+    /// joins the global registry with the global tracer's span table.
     pub fn report(&self) -> RunReport {
         RunReport {
             meta: BTreeMap::new(),
@@ -159,7 +91,7 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.summary()))
                 .collect(),
-            spans: lock(&self.inner.spans).clone(),
+            spans: BTreeMap::new(),
             errors: lock(&self.inner.errors).clone(),
         }
     }
@@ -170,7 +102,6 @@ impl Registry {
         lock(&self.inner.counters).clear();
         lock(&self.inner.gauges).clear();
         lock(&self.inner.histograms).clear();
-        lock(&self.inner.spans).clear();
         lock(&self.inner.errors).clear();
     }
 }
@@ -182,25 +113,6 @@ impl Registry {
 /// cascade across every thread that touches a metric.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Collapse empty path segments (`a//b`, `/a/b/` → `a/b`) so explicit
-/// and RAII-recorded spans share keys. Paths that are already clean —
-/// the common case — return without allocating a segment vector.
-fn normalize_span_path(path: &str) -> String {
-    let needs_fix =
-        path.starts_with('/') || path.ends_with('/') || path.contains("//") || path.is_empty();
-    if !needs_fix {
-        return path.to_owned();
-    }
-    let mut out = String::with_capacity(path.len());
-    for seg in path.split('/').filter(|s| !s.is_empty()) {
-        if !out.is_empty() {
-            out.push('/');
-        }
-        out.push_str(seg);
-    }
-    out
 }
 
 /// The process-wide registry the pipeline's built-in instrumentation
@@ -240,25 +152,9 @@ mod tests {
     fn reset_clears() {
         let r = Registry::new();
         r.counter("a").inc();
-        r.record_span("s", std::time::Duration::from_millis(1));
         r.reset();
         let snap = r.report();
         assert!(snap.counters.is_empty());
-        assert!(snap.spans.is_empty());
-    }
-
-    #[test]
-    fn record_span_normalizes_explicit_paths() {
-        let r = Registry::new();
-        let d = std::time::Duration::from_micros(5);
-        r.record_span("a/b", d);
-        r.record_span("a//b", d);
-        r.record_span("/a/b/", d);
-        let snap = r.report();
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans["a/b"].count, 3);
-        assert_eq!(normalize_span_path("clean/path"), "clean/path");
-        assert_eq!(normalize_span_path("///"), "");
     }
 
     #[test]
@@ -278,7 +174,6 @@ mod tests {
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         pinned.add(1);
                         reg.counter("race").add(1); // re-resolves every time
-                        reg.record_span("race/span", std::time::Duration::from_nanos(1));
                     }
                 });
             }

@@ -1,31 +1,33 @@
-//! droplens-trace: hierarchical tracing with per-worker timelines.
+//! droplens-trace: one span tree, kept as a per-path table and,
+//! on request, as per-worker timelines.
 //!
-//! Where [`crate::Span`] aggregates wall-clock per *path*, the tracer
-//! records every individual span as an event carrying a parent id, the
-//! worker thread that ran it, and typed attributes (source, item counts,
-//! queue-wait). The result is a timeline, not a summary: load it into
-//! Perfetto / `chrome://tracing` ([`Trace::to_chrome_json`]) to see
-//! where wall-clock goes across workers, or render the deterministic
-//! text tree ([`Trace::to_text_tree`]) for test assertions.
+//! Every span a [`Tracer`] opens adds its duration, on-CPU time and
+//! byte delta to the **span table** ([`Tracer::span_table`]), keyed by
+//! its path — the run report's span rows ([`crate::run_report()`]). While the
+//! tracer is enabled (`--trace`) each span is also a [`TraceEvent`]
+//! with parent id, worker thread and typed attributes, for Perfetto /
+//! `chrome://tracing` ([`Trace::to_chrome_json`]) or the deterministic
+//! text tree ([`Trace::to_text_tree`]). All timestamps come from the
+//! tracer's [`Clock`].
 //!
 //! # Recording model
 //!
-//! Tracing is **off by default** and costs one atomic load per
-//! instrumentation site while off. When enabled, events are pushed into
-//! **per-thread buffers** (a `thread_local` `Vec` — no locks, no atomics
-//! on the hot path); a buffer flushes into the tracer's shared sink when
-//! its thread exits, and [`Tracer::drain`] flushes the calling thread
-//! before taking the sink. The pipeline's worker threads are scoped, so
-//! by the time the orchestrating thread drains, every worker has flushed.
+//! A span builds its path once, at open; closing it takes the tracer's
+//! table lock once. The pipeline opens spans per stage, file, task and
+//! experiment, never per record. Events go into **per-thread buffers** registered with the
+//! tracer; [`Tracer::drain`] collects them once the scoped workers have
+//! joined.
 //!
 //! # Hierarchy across threads
 //!
-//! Each thread keeps a stack of open trace-span ids; a new span's parent
-//! is the top of the stack. Fork-join helpers propagate the spawning
-//! thread's current span to their workers ([`Tracer::adopt`] /
-//! [`Tracer::span_under`]), so a parser span opened on a worker links
-//! under the `load` stage that scheduled it, not under a disconnected
-//! root.
+//! Each thread keeps a stack of open spans ([`SpanRef`]: event id plus
+//! path). Fork-join helpers hand the spawning thread's
+//! current span to their workers ([`Tracer::adopt`] /
+//! [`Tracer::task_under`]), so a parser span opened on a worker keys
+//! under the `load` stage that scheduled it (`study/load/
+//! parse.bgp.updates`). Worker tasks are timeline events but not table
+//! rows, so the table reads the same at any worker count. Spans opened
+//! under an adopted or task frame count as [`SpanStat::concurrent`].
 //!
 //! ```
 //! use droplens_obs::trace::Tracer;
@@ -36,6 +38,7 @@
 //!     let mut inner = tracer.span("load", "stage");
 //!     inner.arg_u64("items", 3);
 //! }
+//! assert_eq!(tracer.span_table()["study/load"].count, 1);
 //! let trace = tracer.drain();
 //! assert_eq!(trace.events.len(), 2);
 //! assert!(trace.to_text_tree().contains("load"));
@@ -46,9 +49,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use crate::clock::Clock;
 use crate::json::JsonObject;
+use crate::registry::lock;
 
 /// A typed attribute value on a trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +106,7 @@ pub struct TraceEvent {
     /// Worker-thread timeline the event ran on (registration order;
     /// the first thread to record is 0).
     pub tid: u64,
-    /// Start, nanoseconds since the tracer's epoch.
+    /// Start, nanoseconds on the tracer's clock.
     pub ts_ns: u64,
     /// Duration in nanoseconds (0 for instants).
     pub dur_ns: u64,
@@ -117,6 +122,63 @@ impl TraceEvent {
     }
 }
 
+/// Accumulated timing (and, with a tracking allocator installed,
+/// allocation) of one span path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanStat {
+    /// Number of completed spans on this path.
+    pub count: u64,
+    /// Total wall-clock across them, nanoseconds.
+    pub total_ns: u64,
+    /// Total on-CPU time of the recording threads inside these spans,
+    /// nanoseconds (0 where the platform does not report it).
+    pub cpu_ns: u64,
+    /// How many of these spans ran inside a fork-join fan-out, beside
+    /// sibling work on other threads. Their wall-clock sums across
+    /// concurrently running workers, so it grows with oversubscription
+    /// as well as with work; their `cpu_ns` does not.
+    pub concurrent: u64,
+    /// Bytes allocated on the recording threads inside these spans
+    /// (0 without a tracking allocator).
+    pub alloc_bytes: u64,
+    /// Bytes freed on the recording threads inside these spans.
+    pub freed_bytes: u64,
+}
+
+impl SpanStat {
+    /// Mean wall-clock per span, nanoseconds.
+    pub fn mean_ns(&self) -> u64 {
+        match self.count {
+            0 => 0,
+            n => self.total_ns / n,
+        }
+    }
+}
+
+/// A position in the span tree: what a fork-join helper hands from the
+/// spawning thread to its workers ([`Tracer::current`] →
+/// [`Tracer::adopt`] / [`Tracer::task_under`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SpanRef {
+    /// Trace event id of the span (0 at the root, or when the span is
+    /// not recorded on the timeline because tracing is off).
+    pub id: u64,
+    /// The span's path, `a/b/c` (`None` at the root).
+    path: Option<Arc<str>>,
+    /// Whether the span runs inside a fork-join fan-out.
+    concurrent: bool,
+}
+
+impl SpanRef {
+    /// The path of a span named `name` opened under this one.
+    fn child_path(&self, name: &str) -> Arc<str> {
+        match &self.path {
+            Some(parent) => format!("{parent}/{name}").into(),
+            None => name.into(),
+        }
+    }
+}
+
 /// One thread's slice of the trace, registered with the tracer so
 /// [`Tracer::drain`] can collect it without relying on TLS destructors
 /// (scoped threads signal their join *before* TLS drops run, so a
@@ -125,30 +187,27 @@ impl TraceEvent {
 /// mutex is uncontended — an atomic CAS, no blocking on the hot path.
 type Shard = Arc<Mutex<Vec<TraceEvent>>>;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TracerInner {
     enabled: AtomicBool,
-    epoch: Instant,
+    clock: Clock,
     next_id: AtomicU64,
     next_tid: AtomicU64,
     shards: Mutex<Vec<Shard>>,
+    /// Per-path accumulators.
+    table: Mutex<BTreeMap<Arc<str>, SpanStat>>,
 }
 
-impl Default for TracerInner {
-    fn default() -> Self {
-        TracerInner {
-            enabled: AtomicBool::new(false),
-            epoch: Instant::now(),
-            next_id: AtomicU64::new(1),
-            next_tid: AtomicU64::new(0),
-            shards: Mutex::new(Vec::new()),
-        }
+impl TracerInner {
+    /// A fresh event id: 1-based, so 0 can mean "no event".
+    fn next_id(&self) -> u64 {
+        self.next_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 }
 
-/// A hierarchical trace recorder. Cloning is one `Arc`; all clones feed
-/// the same per-thread shards. Disabled tracers record nothing and cost
-/// one atomic load per call.
+/// A span-tree recorder. Cloning is one `Arc`; all clones feed the same
+/// span table and per-thread shards. Every span adds to the span table;
+/// timeline events are recorded only while enabled.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
@@ -164,106 +223,151 @@ struct LocalBuf {
 thread_local! {
     /// Per-thread shard handle (the shard itself outlives the thread).
     static LOCAL_BUF: RefCell<Option<LocalBuf>> = const { RefCell::new(None) };
-    /// Ids of the trace spans currently open on this thread, outermost
-    /// first. Shared across tracers, mirroring [`crate::span`]'s stack:
-    /// nesting reflects dynamic call structure.
-    static TRACE_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// The spans currently open (or adopted) on this thread, outermost
+    /// first. Shared across tracers: nesting reflects dynamic call
+    /// structure.
+    static TRACE_STACK: RefCell<Vec<SpanRef>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Push `frame` on this thread's span stack, returning the depth to
+/// truncate back to.
+fn push_frame(frame: SpanRef) -> usize {
+    TRACE_STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        s.push(frame);
+        s.len() - 1
+    })
 }
 
 impl Tracer {
-    /// A fresh, disabled tracer.
+    /// A fresh, disabled tracer on the real monotonic clock.
     pub fn new() -> Tracer {
         Tracer::default()
     }
 
-    /// Start recording. Events from spans opened before the call are
-    /// not retroactively recorded.
-    pub fn enable(&self) {
-        self.inner.enabled.store(true, Ordering::Release);
-    }
-
-    /// Stop recording (already-open guards still record on drop).
-    pub fn disable(&self) {
-        self.inner.enabled.store(false, Ordering::Release);
-    }
-
-    /// Whether events are currently recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Acquire)
-    }
-
-    /// The id of the innermost trace span open on *this thread* (0 when
-    /// none). Fork-join helpers capture this before spawning and hand it
-    /// to [`Tracer::span_under`] / [`Tracer::adopt`] on the worker.
-    pub fn current(&self) -> u64 {
-        TRACE_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
-    }
-
-    /// Open a span under this thread's innermost open span.
-    pub fn span(&self, name: impl Into<String>, cat: &'static str) -> TraceGuard {
-        let parent = if self.is_enabled() { self.current() } else { 0 };
-        self.span_under(parent, name, cat)
-    }
-
-    /// Open a span under an explicit parent id (cross-thread linkage).
-    /// The new span is pushed on this thread's stack, so spans opened
-    /// inside it nest under it.
-    pub fn span_under(
-        &self,
-        parent: u64,
-        name: impl Into<String>,
-        cat: &'static str,
-    ) -> TraceGuard {
-        if !self.is_enabled() {
-            return TraceGuard { state: None };
-        }
-        // Register the thread now, not at the drop-time push: open order
-        // follows the fork-join hierarchy (a stage opens before the
-        // workers it spawns), so timeline ids stay deterministic instead
-        // of depending on which span happens to *finish* first.
-        self.register_thread();
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let depth = TRACE_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let depth = s.len();
-            s.push(id);
-            depth
-        });
-        TraceGuard {
-            state: Some(GuardState {
-                tracer: self.clone(),
-                id,
-                parent,
-                name: name.into(),
-                cat,
-                start: Instant::now(),
-                depth,
-                args: Vec::new(),
-                // When a tracking allocator is installed, every trace
-                // span doubles as a memory attribution region.
-                mem: crate::alloc::mark(),
+    /// A fresh, disabled tracer reading `clock` — a [`Clock::mock`]
+    /// makes span durations exact in tests.
+    pub fn with_clock(clock: Clock) -> Tracer {
+        Tracer {
+            inner: Arc::new(TracerInner {
+                clock,
+                ..TracerInner::default()
             }),
         }
     }
 
-    /// Adopt `parent` as this thread's innermost span without recording
-    /// an event — how fork-join workers inherit the spawning thread's
-    /// context. The guard pops it again on drop.
-    pub fn adopt(&self, parent: u64) -> AdoptGuard {
-        if !self.is_enabled() || parent == 0 {
-            return AdoptGuard { depth: None };
-        }
-        self.register_thread();
-        let depth = TRACE_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let depth = s.len();
-            s.push(parent);
-            depth
-        });
-        AdoptGuard { depth: Some(depth) }
+    /// Start recording timeline events. Spans opened before the call
+    /// are not retroactively recorded.
+    pub fn enable(&self) {
+        self.inner.enabled.store(true, Ordering::Release);
     }
 
-    /// Record a point-in-time event under this thread's innermost span.
+    /// Stop recording timeline events (already-open guards still record
+    /// on drop; the span table keeps collecting).
+    pub fn disable(&self) {
+        self.inner.enabled.store(false, Ordering::Release);
+    }
+
+    /// Whether timeline events are currently recorded.
+    pub fn is_enabled(&self) -> bool {
+        self.inner.enabled.load(Ordering::Acquire)
+    }
+
+    /// The innermost span open on *this thread* (the root when none).
+    /// Fork-join helpers capture this before spawning and hand it to
+    /// [`Tracer::task_under`] / [`Tracer::adopt`] on the worker.
+    pub fn current(&self) -> SpanRef {
+        TRACE_STACK.with(|s| s.borrow().last().cloned().unwrap_or_default())
+    }
+
+    /// Open a span under this thread's innermost open span.
+    pub fn span(&self, name: &str, cat: &'static str) -> TraceGuard {
+        let parent = self.current();
+        let frame = SpanRef {
+            id: 0,
+            path: Some(parent.child_path(name)),
+            concurrent: parent.concurrent,
+        };
+        self.open(parent.id, frame, name, cat, true)
+    }
+
+    /// Open a worker-task span under `parent`, captured on the spawning
+    /// thread. The task is a timeline event of its own, linked to
+    /// `parent`, but not a span-table row: spans opened inside it key
+    /// under `parent`'s path, exactly as when the work runs inline.
+    pub fn task_under(&self, parent: &SpanRef, name: &str, cat: &'static str) -> TraceGuard {
+        let frame = SpanRef {
+            id: 0,
+            path: parent.path.clone(),
+            concurrent: true,
+        };
+        self.open(parent.id, frame, name, cat, false)
+    }
+
+    /// Open `frame` (its id still 0) under event `parent`.
+    fn open(
+        &self,
+        parent: u64,
+        mut frame: SpanRef,
+        name: &str,
+        cat: &'static str,
+        row: bool,
+    ) -> TraceGuard {
+        let event = self.is_enabled().then(|| {
+            // Register the thread now, not at the drop-time push: open
+            // order follows the fork-join hierarchy (a stage opens
+            // before the workers it spawns), so timeline ids stay
+            // deterministic instead of depending on which span happens
+            // to *finish* first.
+            self.register_thread();
+            OpenEvent {
+                parent,
+                name: name.to_owned(),
+                cat,
+                args: Vec::new(),
+            }
+        });
+        if event.is_some() {
+            frame.id = self.inner.next_id();
+        }
+        let depth = push_frame(frame.clone());
+        let cpu_start = self.inner.clock.thread_cpu_ns();
+        // Every span doubles as a memory attribution region when a
+        // tracking allocator is installed. Marked last, so the
+        // bookkeeping above is not charged to the span.
+        let mem = crate::alloc::mark();
+        TraceGuard {
+            state: Some(GuardState {
+                tracer: self.clone(),
+                frame,
+                row,
+                depth,
+                cpu_start,
+                start_ns: self.inner.clock.now_ns(),
+                event,
+                mem,
+            }),
+        }
+    }
+
+    /// Adopt `parent` as this thread's innermost span without opening
+    /// one — how fork-join workers inherit the spawning thread's
+    /// context. Spans opened under it count as concurrent. The guard
+    /// pops it again on drop.
+    pub fn adopt(&self, parent: SpanRef) -> AdoptGuard {
+        if self.is_enabled() {
+            self.register_thread();
+        }
+        AdoptGuard {
+            depth: push_frame(SpanRef {
+                concurrent: true,
+                ..parent
+            }),
+        }
+    }
+
+    /// Record a point-in-time event under this thread's innermost span
+    /// (timeline only: no-op while disabled).
     pub fn instant(
         &self,
         name: impl Into<String>,
@@ -273,19 +377,50 @@ impl Tracer {
         if !self.is_enabled() {
             return;
         }
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let ts_ns = saturating_ns(self.inner.epoch.elapsed());
+        let id = self.inner.next_id();
         self.push(TraceEvent {
             id,
-            parent: self.current(),
+            parent: self.current().id,
             name: name.into(),
             cat,
             tid: 0, // filled by push
-            ts_ns,
+            ts_ns: self.inner.clock.now_ns(),
             dur_ns: 0,
             kind: EventKind::Instant,
             args,
         });
+    }
+
+    /// Every span path closed under this tracer so far (`a/b/c`), with
+    /// its count, total wall-clock and on-CPU time, and byte columns. Collected whether
+    /// or not timeline events are enabled; each recorded path's
+    /// ancestors are recorded too once they close.
+    pub fn span_table(&self) -> BTreeMap<String, SpanStat> {
+        lock(&self.inner.table)
+            .iter()
+            .map(|(path, stat)| (path.to_string(), *stat))
+            .collect()
+    }
+
+    /// Add one closed span to its path's accumulator.
+    fn accumulate(
+        &self,
+        frame: SpanRef,
+        dur_ns: u64,
+        cpu_ns: u64,
+        mem: Option<crate::alloc::MemDelta>,
+    ) {
+        let Some(path) = frame.path else { return };
+        let mut table = lock(&self.inner.table);
+        let stat = table.entry(path).or_default();
+        stat.count += 1;
+        stat.total_ns = stat.total_ns.saturating_add(dur_ns);
+        stat.cpu_ns = stat.cpu_ns.saturating_add(cpu_ns);
+        stat.concurrent += u64::from(frame.concurrent);
+        if let Some(d) = mem {
+            stat.alloc_bytes = stat.alloc_bytes.saturating_add(d.alloc_bytes);
+            stat.freed_bytes = stat.freed_bytes.saturating_add(d.freed_bytes);
+        }
     }
 
     /// Ensure this thread has a shard (and timeline id) registered with
@@ -301,7 +436,7 @@ impl Tracer {
             }
             let tid = self.inner.next_tid.fetch_add(1, Ordering::Relaxed);
             let shard: Shard = Arc::new(Mutex::new(Vec::with_capacity(256)));
-            crate::registry::lock(&self.inner.shards).push(Arc::clone(&shard));
+            lock(&self.inner.shards).push(Arc::clone(&shard));
             *cell = Some(LocalBuf {
                 tracer: Arc::clone(&self.inner),
                 tid,
@@ -320,19 +455,20 @@ impl Tracer {
             let cell = cell.borrow();
             if let Some(buf) = cell.as_ref() {
                 event.tid = tid;
-                crate::registry::lock(&buf.shard).push(event);
+                lock(&buf.shard).push(event);
             }
         });
     }
 
     /// Take every recorded event, sorted by start time (ties by id).
     /// Safe to call while workers are gone or idle; events pushed after
-    /// the drain accumulate toward the next one.
+    /// the drain accumulate toward the next one. The span table is
+    /// left as it is.
     pub fn drain(&self) -> Trace {
-        let shards: Vec<Shard> = crate::registry::lock(&self.inner.shards).clone();
+        let shards: Vec<Shard> = lock(&self.inner.shards).clone();
         let mut events = Vec::new();
         for shard in shards {
-            events.append(&mut crate::registry::lock(&shard));
+            events.append(&mut lock(&shard));
         }
         events.sort_by_key(|e| (e.ts_ns, e.id));
         Trace { events }
@@ -340,127 +476,139 @@ impl Tracer {
 }
 
 /// The process-wide tracer the pipeline's built-in instrumentation
-/// records into (enabled by `reproduce --trace` / `droplens --trace`).
+/// records into. Its span table feeds every run report; its timeline
+/// is enabled by `reproduce --trace` / `droplens --trace`.
 pub fn global() -> &'static Tracer {
     static GLOBAL: OnceLock<Tracer> = OnceLock::new();
     GLOBAL.get_or_init(Tracer::new)
 }
 
-fn saturating_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// State of an open (recording) trace guard.
+/// The timeline half of an open span (present while tracing is on).
 #[derive(Debug)]
-struct GuardState {
-    tracer: Tracer,
-    id: u64,
+struct OpenEvent {
     parent: u64,
     name: String,
     cat: &'static str,
-    start: Instant,
-    depth: usize,
     args: Vec<(&'static str, ArgValue)>,
+}
+
+/// State of an open trace guard.
+#[derive(Debug)]
+struct GuardState {
+    tracer: Tracer,
+    /// The frame this guard pushed: event id and the path it keys under.
+    frame: SpanRef,
+    /// Whether the span is a span-table row (false for worker tasks).
+    row: bool,
+    depth: usize,
+    /// The thread's on-CPU reading at open (`None` if unavailable).
+    cpu_start: Option<u64>,
+    start_ns: u64,
+    event: Option<OpenEvent>,
     /// Open memory attribution region (`None` without a tracking
-    /// allocator); closed on drop into `alloc_bytes`/`freed_bytes`/
-    /// `peak_delta` args plus a `live_bytes` counter sample.
+    /// allocator); closed on drop into the row's byte columns and the
+    /// event's `alloc_bytes`/`freed_bytes`/`peak_delta` args plus a
+    /// `live_bytes` counter sample.
     mem: Option<crate::alloc::MemMark>,
 }
 
-/// An open trace span: records a [`TraceEvent`] when dropped (or on
-/// [`TraceGuard::finish`]). A guard from a disabled tracer is an inert
-/// no-op — every method is safe to call unconditionally.
-#[derive(Debug, Default)]
+/// An open span. On drop (or [`TraceGuard::finish`]) it adds to the
+/// span table and, if the tracer was enabled when it opened, records a
+/// [`TraceEvent`]. Attribute methods are no-ops while tracing is off.
+#[derive(Debug)]
 pub struct TraceGuard {
     state: Option<GuardState>,
 }
 
 impl TraceGuard {
-    /// This span's id (0 when tracing is disabled). Hand it to
-    /// [`Tracer::span_under`] on another thread to nest under this span.
+    /// This span's event id (0 when tracing is disabled).
     pub fn id(&self) -> u64 {
-        self.state.as_ref().map_or(0, |s| s.id)
+        self.state.as_ref().map_or(0, |s| s.frame.id)
+    }
+
+    fn arg(&mut self, key: &'static str, value: ArgValue) -> &mut Self {
+        if let Some(event) = self.state.as_mut().and_then(|s| s.event.as_mut()) {
+            event.args.push((key, value));
+        }
+        self
     }
 
     /// Attach an unsigned-integer attribute.
     pub fn arg_u64(&mut self, key: &'static str, value: u64) -> &mut Self {
-        if let Some(s) = &mut self.state {
-            s.args.push((key, ArgValue::U64(value)));
-        }
-        self
+        self.arg(key, ArgValue::U64(value))
     }
 
     /// Attach a signed-integer attribute.
     pub fn arg_i64(&mut self, key: &'static str, value: i64) -> &mut Self {
-        if let Some(s) = &mut self.state {
-            s.args.push((key, ArgValue::I64(value)));
-        }
-        self
+        self.arg(key, ArgValue::I64(value))
     }
 
     /// Attach a float attribute.
     pub fn arg_f64(&mut self, key: &'static str, value: f64) -> &mut Self {
-        if let Some(s) = &mut self.state {
-            s.args.push((key, ArgValue::F64(value)));
-        }
-        self
+        self.arg(key, ArgValue::F64(value))
     }
 
     /// Attach a string attribute.
     pub fn arg_str(&mut self, key: &'static str, value: impl Into<String>) -> &mut Self {
-        if let Some(s) = &mut self.state {
-            s.args.push((key, ArgValue::Str(value.into())));
-        }
-        self
+        self.arg(key, ArgValue::Str(value.into()))
     }
 
-    /// Close the span now (equivalent to dropping it).
-    pub fn finish(self) {}
-}
+    /// Close the span now (equivalent to dropping it) and return its
+    /// duration.
+    pub fn finish(mut self) -> Duration {
+        Duration::from_nanos(self.close())
+    }
 
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        let Some(s) = self.state.take() else { return };
-        let ts_ns = saturating_ns(s.start.duration_since(s.tracer.inner.epoch));
-        let dur_ns = saturating_ns(s.start.elapsed());
+    /// Record the span once; returns its duration in nanoseconds.
+    fn close(&mut self) -> u64 {
+        let Some(s) = self.state.take() else { return 0 };
+        let inner = &s.tracer.inner;
+        let dur_ns = inner.clock.now_ns().saturating_sub(s.start_ns);
         TRACE_STACK.with(|stack| {
             // LIFO in well-formed use; truncating self-heals if an outer
             // guard drops before an inner one.
             stack.borrow_mut().truncate(s.depth);
         });
-        let mut args = s.args;
-        let sampled_mem = s.mem.is_some();
-        if let Some(mark) = s.mem {
-            // Guards drop innermost-first, which is exactly the LIFO
-            // discipline the mark's peak save/restore needs.
-            let d = mark.finish();
+        // Guards drop innermost-first, which is exactly the LIFO
+        // discipline the mark's peak save/restore needs.
+        let mem = s.mem.map(crate::alloc::MemMark::finish);
+        if s.row {
+            let cpu_end = inner.clock.thread_cpu_ns();
+            let cpu_ns = match (s.cpu_start, cpu_end) {
+                (Some(a), Some(b)) => b.saturating_sub(a),
+                _ => 0,
+            };
+            s.tracer.accumulate(s.frame.clone(), dur_ns, cpu_ns, mem);
+        }
+        let Some(event) = s.event else { return dur_ns };
+        let mut args = event.args;
+        if let Some(d) = mem {
             args.push(("alloc_bytes", ArgValue::U64(d.alloc_bytes)));
             args.push(("freed_bytes", ArgValue::U64(d.freed_bytes)));
             args.push(("peak_delta", ArgValue::U64(d.peak_delta)));
         }
-        let end_ns = ts_ns.saturating_add(dur_ns);
         s.tracer.push(TraceEvent {
-            id: s.id,
-            parent: s.parent,
-            name: s.name,
-            cat: s.cat,
+            id: s.frame.id,
+            parent: event.parent,
+            name: event.name,
+            cat: event.cat,
             tid: 0, // filled by push
-            ts_ns,
+            ts_ns: s.start_ns,
             dur_ns,
             kind: EventKind::Span,
             args,
         });
-        if sampled_mem {
+        if mem.is_some() {
             // Sample this worker's live bytes at every span close: a
             // timeline dense exactly where the run is busy.
-            let id = s.tracer.inner.next_id.fetch_add(1, Ordering::Relaxed);
+            let id = inner.next_id();
             s.tracer.push(TraceEvent {
                 id,
-                parent: s.parent,
+                parent: event.parent,
                 name: "live_bytes".to_owned(),
                 cat: "mem",
                 tid: 0, // filled by push
-                ts_ns: end_ns,
+                ts_ns: s.start_ns.saturating_add(dur_ns),
                 dur_ns: 0,
                 kind: EventKind::Counter,
                 args: vec![(
@@ -469,20 +617,25 @@ impl Drop for TraceGuard {
                 )],
             });
         }
+        dur_ns
     }
 }
 
-/// Pops an adopted parent id off this thread's stack on drop.
+impl Drop for TraceGuard {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+/// Pops an adopted parent off this thread's stack on drop.
 #[derive(Debug)]
 pub struct AdoptGuard {
-    depth: Option<usize>,
+    depth: usize,
 }
 
 impl Drop for AdoptGuard {
     fn drop(&mut self) {
-        if let Some(depth) = self.depth {
-            TRACE_STACK.with(|s| s.borrow_mut().truncate(depth));
-        }
+        TRACE_STACK.with(|s| s.borrow_mut().truncate(self.depth));
     }
 }
 
@@ -680,7 +833,7 @@ fn render_level(
         }
         // The default categories carry no information beyond "a span";
         // only domain categories (par, parse, ingest, ...) are shown.
-        if cat != "span" && cat != "stage" {
+        if cat != "stage" {
             let _ = write!(out, " <{cat}>");
         }
         // Allocation attribution is run-varying byte-for-byte but stable
@@ -784,13 +937,13 @@ mod tests {
             let outer = t.span("outer", "test");
             outer_id = outer.id();
             assert_ne!(outer_id, 0);
-            assert_eq!(t.current(), outer_id);
+            assert_eq!(t.current().id, outer_id);
             let inner = t.span("inner", "test");
             assert_ne!(inner.id(), 0);
             drop(inner);
-            assert_eq!(t.current(), outer_id);
+            assert_eq!(t.current().id, outer_id);
         }
-        assert_eq!(t.current(), 0);
+        assert_eq!(t.current(), SpanRef::default());
         let trace = t.drain();
         // Sibling alloc tests may flip the process-wide ACTIVE flag,
         // adding live_bytes counter samples: count spans only.
@@ -813,10 +966,11 @@ mod tests {
         t.enable();
         let parent = t.span("stage", "test");
         let pid = parent.id();
+        let pref = t.current();
         let tc = t.clone();
         std::thread::scope(|s| {
             s.spawn(move || {
-                let _a = tc.adopt(pid);
+                let _a = tc.adopt(pref);
                 let mut g = tc.span("task", "test");
                 g.arg_u64("queue_wait_ns", 17);
             });
@@ -827,6 +981,103 @@ mod tests {
         assert_eq!(task.parent, pid);
         assert_ne!(task.tid, 0, "worker gets its own timeline");
         assert_eq!(task.args[0], ("queue_wait_ns", ArgValue::U64(17)));
+    }
+
+    #[test]
+    fn nesting_builds_paths() {
+        // A disabled tracer records no events but still fills the table.
+        let t = Tracer::new();
+        {
+            let _outer = t.span("outer", "test");
+            drop(t.span("inner", "test"));
+            drop(t.span("sibling", "test"));
+        }
+        drop(t.span("after", "test"));
+        let table = t.span_table();
+        let paths: Vec<&str> = table.keys().map(String::as_str).collect();
+        assert_eq!(
+            paths,
+            vec!["after", "outer", "outer/inner", "outer/sibling"]
+        );
+        assert_eq!(table["outer"].count, 1);
+        assert!(t.drain().events.is_empty());
+    }
+
+    #[test]
+    fn finish_records_once() {
+        let clock = Clock::mock();
+        let t = Tracer::with_clock(clock.clone());
+        let s = t.span("once", "test");
+        clock.advance(Duration::from_nanos(42));
+        assert_eq!(s.finish(), Duration::from_nanos(42));
+        assert_eq!(t.span_table()["once"].count, 1);
+    }
+
+    #[test]
+    fn mock_clock_span_totals_are_exact() {
+        let clock = Clock::mock();
+        let t = Tracer::with_clock(clock.clone());
+        t.enable();
+        {
+            let _outer = t.span("outer", "test");
+            clock.advance(Duration::from_nanos(100));
+            {
+                let _a = t.span("a", "test");
+                clock.advance(Duration::from_nanos(30));
+            }
+            {
+                let _b = t.span("b", "test");
+                clock.advance(Duration::from_nanos(50));
+            }
+            clock.advance(Duration::from_nanos(20));
+        }
+        let table = t.span_table();
+        assert_eq!(table["outer"].total_ns, 200);
+        assert_eq!(table["outer/a"].total_ns, 30);
+        assert_eq!(table["outer/b"].total_ns, 50);
+        assert!(table["outer"].total_ns >= table["outer/a"].total_ns + table["outer/b"].total_ns);
+        // Under the mock, threads are always on-CPU.
+        assert_eq!(table["outer/a"].cpu_ns, 30);
+        assert_eq!(table["outer"].concurrent, 0);
+        // The timeline reads the same clock.
+        let trace = t.drain();
+        let a = trace.events.iter().find(|e| e.name == "a").unwrap();
+        assert_eq!((a.ts_ns, a.dur_ns), (100, 30));
+    }
+
+    #[test]
+    fn task_spans_key_under_the_scheduling_span() {
+        // Work run by a worker task lands on the same paths as work run
+        // inline, so the table does not depend on the worker count.
+        let t = Tracer::new();
+        t.enable();
+        let stage = t.span("stage", "test");
+        drop(t.span("inline", "test"));
+        let at = t.current();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _task = t.task_under(&at, "task", "par");
+                drop(t.span("inline", "test"));
+            });
+        });
+        drop(stage);
+        let table = t.span_table();
+        let paths: Vec<&str> = table.keys().map(String::as_str).collect();
+        assert_eq!(paths, vec!["stage", "stage/inline"]);
+        assert_eq!(table["stage/inline"].count, 2);
+        // Only the worker's copy ran inside the fan-out.
+        assert_eq!(table["stage/inline"].concurrent, 1);
+        assert_eq!(table["stage"].concurrent, 0);
+        // The task itself is still a timeline event under `stage`.
+        let trace = t.drain();
+        let task = trace.events.iter().find(|e| e.name == "task").unwrap();
+        assert_eq!(task.parent, at.id);
+        let worker_inline = trace
+            .events
+            .iter()
+            .find(|e| e.name == "inline" && e.parent == task.id)
+            .unwrap();
+        assert_ne!(worker_inline.tid, 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Integration coverage for droplens-obs: histogram edge cases,
-//! concurrent counters, span nesting, and the JSON report shape.
+//! concurrent counters, tracer span nesting, and the JSON report shape.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use std::collections::BTreeMap;
@@ -7,7 +7,16 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use droplens_obs::{Histogram, Registry, RunReport};
+use droplens_obs::{Histogram, Registry, RunReport, SpanStat, Tracer};
+
+/// One recorded span of `total_ns`.
+fn span_stat(total_ns: u64) -> SpanStat {
+    SpanStat {
+        count: 1,
+        total_ns,
+        ..SpanStat::default()
+    }
+}
 
 #[test]
 fn empty_histogram_has_no_quantiles() {
@@ -130,42 +139,43 @@ fn concurrent_histogram_records_are_lossless() {
 
 #[test]
 fn span_nesting_order_is_reflected_in_paths() {
-    let r = Registry::new();
+    let t = Tracer::new();
     {
-        let _a = r.span("outer");
+        let _a = t.span("outer", "test");
         {
-            let _b = r.span("mid");
-            let _c = r.span("inner");
+            let _b = t.span("mid", "test");
+            let _c = t.span("inner", "test");
         }
         // After the nested pair closes, new spans nest under `outer` only.
-        let _d = r.span("second");
+        let _d = t.span("second", "test");
     }
-    let report = r.report();
-    let paths: Vec<&str> = report.spans.keys().map(String::as_str).collect();
+    let spans = t.span_table();
+    let paths: Vec<&str> = spans.keys().map(String::as_str).collect();
     assert_eq!(
         paths,
         vec!["outer", "outer/mid", "outer/mid/inner", "outer/second"]
     );
     // A parent's total covers its children.
-    assert!(report.spans["outer"].total_ns >= report.spans["outer/mid"].total_ns);
+    assert!(spans["outer"].total_ns >= spans["outer/mid"].total_ns);
 }
 
 #[test]
 fn spans_nest_per_thread_not_across_threads() {
-    let registry = Arc::new(Registry::new());
-    let outer = registry.span("main_thread");
-    let r2 = Arc::clone(&registry);
+    let tracer = Tracer::new();
+    let outer = tracer.span("main_thread", "test");
+    let t2 = tracer.clone();
     thread::spawn(move || {
-        // Opened on a different thread: no `main_thread/` prefix.
-        let s = r2.span("worker");
-        assert_eq!(s.path(), "worker");
+        // Opened on a different thread that adopted nothing: no
+        // `main_thread/` prefix.
+        drop(t2.span("worker", "test"));
     })
     .join()
     .expect("worker panicked");
     drop(outer);
-    let report = registry.report();
-    assert!(report.spans.contains_key("worker"));
-    assert!(report.spans.contains_key("main_thread"));
+    let spans = tracer.span_table();
+    assert!(spans.contains_key("worker"));
+    assert!(spans.contains_key("main_thread"));
+    assert!(!spans.contains_key("main_thread/worker"));
 }
 
 #[test]
@@ -175,10 +185,10 @@ fn json_report_is_stable_and_escaped() {
     r.counter("a.count").inc();
     r.gauge("depth").set(-3);
     r.histogram("lat").record(8);
-    r.record_span("stage/sub", Duration::from_nanos(500));
     r.error_sample("src", "bad \"line\"\n1");
     let mut report = r.report();
     report.meta.insert("seed".to_owned(), "42".to_owned());
+    report.spans.insert("stage/sub".to_owned(), span_stat(500));
 
     let expected = concat!(
         "{\"schema\":\"droplens-obs/1\",",
@@ -194,6 +204,7 @@ fn json_report_is_stable_and_escaped() {
     // Same registry state → byte-identical document.
     let mut again = r.report();
     again.meta.insert("seed".to_owned(), "42".to_owned());
+    again.spans.insert("stage/sub".to_owned(), span_stat(500));
     assert_eq!(again.to_json(), expected);
 }
 
@@ -203,9 +214,11 @@ fn text_report_renders_all_sections() {
     r.counter("records").add(7);
     r.gauge("pool").set(5);
     r.histogram("lat").record(100);
-    r.record_span("stage", Duration::from_millis(2));
     r.error_sample("parser", "oops");
     let mut report = r.report();
+    report
+        .spans
+        .insert("stage".to_owned(), span_stat(2_000_000));
     report.meta.insert("scale".to_owned(), "small".to_owned());
     let text = report.to_text();
     for needle in ["scale", "stage", "records", "pool", "lat", "parser", "oops"] {

@@ -31,17 +31,19 @@
 //!
 //! # Tracing
 //!
-//! When the global tracer ([`droplens_obs::trace::global`]) is enabled,
-//! every spawned chunk records a `task` span (category `par`) on its
-//! worker's timeline, linked under the span that was open on the calling
-//! thread, carrying `queue_wait_ns` (spawn-to-start latency) and the
-//! chunk size. The [`join`] family adopts the caller's span on the
-//! spawned side so spans opened inside nest correctly across threads.
-//! Disabled tracing costs one atomic load per spawned chunk; the
-//! sequential paths are untouched.
+//! Every spawned chunk opens a `task` span (category `par`) under the
+//! span that was open on the calling thread, and the [`join`] family
+//! adopts the caller's span on the spawned side, so spans opened inside
+//! key under the caller's path in the run report's span table — the
+//! same rows as when the work runs inline. Rows opened inside a fan-out
+//! (on either side of a `join`) are marked concurrent, since their
+//! wall-clock overlaps sibling work. While the global tracer
+//! ([`droplens_obs::trace::global`]) is enabled, each `task` is also a
+//! timeline event on its worker carrying `queue_wait_ns` (spawn-to-start
+//! latency) and the chunk size. The sequential paths are untouched.
 //!
 //! When the running binary additionally installs the tracking allocator
-//! ([`droplens_obs::alloc::TrackingAlloc`]), each `task` span also
+//! ([`droplens_obs::alloc::TrackingAlloc`]), each `task` event also
 //! carries `alloc_bytes`/`freed_bytes`/`peak_delta` next to
 //! `queue_wait_ns` — the bytes a chunk allocated on its worker roll up
 //! under the adopting stage span exactly like its wall-clock does.
@@ -92,7 +94,7 @@ pub fn par_map_with<T: Sync, R: Send>(
     }
     let chunk = items.len().div_ceil(workers);
     let tracer = trace::global();
-    let parent = tracer.current();
+    let parent = &tracer.current();
     let queued = Stopwatch::start();
     let f = &f;
     let chunks: Vec<Vec<R>> = thread::scope(|s| {
@@ -132,7 +134,7 @@ pub fn par_for_each_mut_with<T: Send>(workers: usize, items: &mut [T], f: impl F
     }
     let chunk = items.len().div_ceil(workers);
     let tracer = trace::global();
-    let parent = tracer.current();
+    let parent = &tracer.current();
     let queued = Stopwatch::start();
     let f = &f;
     thread::scope(|s| {
@@ -167,13 +169,18 @@ where
     let tracer = trace::global();
     let parent = tracer.current();
     thread::scope(|s| {
+        let forked = parent.clone();
         let hb = s.spawn(move || {
             // Inherit the caller's open span so spans opened inside `b`
             // nest under it even though `b` runs on another thread.
-            let _adopt = tracer.adopt(parent);
+            let _adopt = tracer.adopt(forked);
             b()
         });
-        let ra = a();
+        // `a` runs beside `b`, so its spans count as concurrent too.
+        let ra = {
+            let _adopt = tracer.adopt(parent);
+            a()
+        };
         let rb = match hb.join() {
             Ok(v) => v,
             Err(payload) => resume_unwind(payload),
@@ -256,7 +263,7 @@ pub fn par_join_with<R: Send>(workers: usize, tasks: Vec<Task<'_, R>>) -> Vec<R>
     }
     batches.push(rest);
     let tracer = trace::global();
-    let parent = tracer.current();
+    let parent = &tracer.current();
     let queued = Stopwatch::start();
     let results: Vec<Vec<R>> = thread::scope(|s| {
         let handles: Vec<_> = batches
@@ -274,11 +281,14 @@ pub fn par_join_with<R: Send>(workers: usize, tasks: Vec<Task<'_, R>>) -> Vec<R>
     results.into_iter().flatten().collect()
 }
 
-/// Open the per-chunk `task` trace span on the worker: linked under the
+/// Open the per-chunk `task` span on the worker: linked under the
 /// calling thread's span, stamped with the spawn-to-start queue wait.
-/// A no-op guard when tracing is disabled.
-fn task_span(tracer: &trace::Tracer, parent: u64, queued: Stopwatch) -> trace::TraceGuard {
-    let mut span = tracer.span_under(parent, "task", "par");
+fn task_span(
+    tracer: &trace::Tracer,
+    parent: &trace::SpanRef,
+    queued: Stopwatch,
+) -> trace::TraceGuard {
+    let mut span = tracer.task_under(parent, "task", "par");
     span.arg_u64("queue_wait_ns", queued.elapsed_ns());
     span
 }

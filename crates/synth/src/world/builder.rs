@@ -100,7 +100,7 @@ impl Builder {
         // `synth.generate` span.
         macro_rules! phase {
             ($name:literal, $e:expr) => {{
-                let _span = droplens_obs::global().span($name);
+                let _span = droplens_obs::trace::global().span($name, "stage");
                 $e
             }};
         }

@@ -40,7 +40,7 @@ impl World {
     pub fn generate(seed: u64, config: &WorldConfig) -> World {
         let obs = droplens_obs::global();
         let world = {
-            let mut span = obs.span("synth.generate");
+            let mut span = droplens_obs::trace::global().span("synth.generate", "stage");
             span.arg_u64("seed", seed)
                 .arg_str("study_start", config.study_start.to_string())
                 .arg_str("study_end", config.study_end.to_string())

@@ -3,7 +3,7 @@
 //! This binary installs the tracking allocator for real (the obs unit
 //! tests drive the shard machinery manually instead), so every test
 //! here exercises the actual `GlobalAlloc` path: counter flow,
-//! per-span attribution through local tracers and the registry, peak
+//! per-span attribution through local tracers and their span tables, peak
 //! nesting, threads that allocate before any span opens, and alloc
 //! attribution across `par::join2..5` adoption. Tests run on separate
 //! harness threads and shards are per-thread, so they do not disturb
@@ -29,21 +29,21 @@ fn churn(n: usize) {
 
 #[test]
 fn allocator_counts_thread_allocations() {
-    let before = alloc::thread_counts().expect("tracking allocator active");
+    let mark = alloc::mark().expect("tracking allocator active");
     churn(MIB);
-    let after = alloc::thread_counts().unwrap();
+    let delta = mark.finish();
     assert!(
-        after.alloc_bytes - before.alloc_bytes >= MIB as u64,
-        "1 MiB churn under-counted: {before:?} -> {after:?}"
+        delta.alloc_bytes >= MIB as u64,
+        "1 MiB churn under-counted: {delta:?}"
     );
     assert!(
-        after.freed_bytes - before.freed_bytes >= MIB as u64,
-        "free not counted: {before:?} -> {after:?}"
+        delta.freed_bytes >= MIB as u64,
+        "free not counted: {delta:?}"
     );
     assert!(alloc::is_active());
     // The process-wide snapshot includes this thread's shard.
     let snap = alloc::snapshot();
-    assert!(snap.alloc_bytes >= after.alloc_bytes);
+    assert!(snap.alloc_bytes >= delta.alloc_bytes);
     assert!(snap.alloc_ops > 0);
     assert!(snap.threads > 0);
 }
@@ -51,16 +51,21 @@ fn allocator_counts_thread_allocations() {
 #[test]
 fn thread_allocating_before_any_span_is_counted() {
     // A thread that allocates before opening any span lands in its own
-    // tid-level shard — the bytes are not dropped on the floor.
-    let counts = std::thread::spawn(|| {
-        churn(2 * MIB);
-        alloc::thread_counts().expect("fresh thread sees active allocator")
+    // shard — the bytes are not dropped on the floor. Read on that
+    // thread alone: sibling tests allocate concurrently, and thread
+    // start-up frees a few bytes the spawning thread allocated.
+    let live = std::thread::spawn(|| {
+        let base = alloc::thread_live_bytes();
+        let held: Vec<u8> = black_box(vec![7u8; 2 * MIB]);
+        let live = alloc::thread_live_bytes() - base;
+        black_box(held.len());
+        live
     })
     .join()
     .unwrap();
     assert!(
-        counts.alloc_bytes >= 2 * MIB as u64,
-        "pre-span thread bytes lost: {counts:?}"
+        live >= 2 * MIB as i64,
+        "pre-span thread bytes lost: {live} live"
     );
     // And a mark opened *after* allocations still brackets correctly.
     let delta = std::thread::spawn(|| {
@@ -159,24 +164,32 @@ fn nested_spans_compose_peaks() {
 
 #[test]
 fn registry_spans_gain_byte_columns() {
-    let r = Registry::new();
+    // The run report's span rows are the tracer's span table: collected
+    // with tracing off, and carrying the span's allocation bytes.
+    let t = Tracer::new();
     {
-        let _s = r.span("stage");
+        let _s = t.span("stage", "test");
         churn(3 * MIB);
     }
-    let report = r.report();
+    let r = Registry::new();
+    let report_of = |r: &Registry| {
+        let mut report = r.report();
+        report.spans = t.span_table();
+        report
+    };
+    let report = report_of(&r);
     let stat = &report.spans["stage"];
     assert!(
         stat.alloc_bytes >= 3 * MIB as u64,
-        "registry span missed bytes: {stat:?}"
+        "span row missed bytes: {stat:?}"
     );
     assert!(stat.freed_bytes >= 3 * MIB as u64, "{stat:?}");
     // The byte columns survive the JSON round trip and feed mem diff.
     let json = report.to_json();
     assert!(json.contains("\"alloc_bytes\""), "{json}");
-    // mem gauges fold into the same registry on demand.
+    // mem gauges fold into the registry on demand.
     alloc::record_gauges(&r);
-    let report = r.report();
+    let report = report_of(&r);
     assert!(report.gauges["mem.alloc_bytes"] > 0);
     assert!(report.gauges["mem.peak_rss_bytes"] > 0);
     // The text table renders the humanized alloc column.

@@ -364,6 +364,44 @@ fn metrics_frames_expose_windowed_series() {
     assert_eq!(rov.get("total").and_then(Value::as_u64), Some(0));
 
     handle.stop();
+
+    // Each request is timed once, in its kind's series: after N
+    // requests over one kept-alive connection to a fresh server, the
+    // Metrics frame answered on that connection counts exactly N.
+    const N: usize = 12;
+    let fresh = start(&engine, ServerConfig::default());
+    let mut conn = DeadlineStream::connect(fresh.addr(), Duration::from_secs(2)).expect("connect");
+    for i in 0..N {
+        let req = match i % 3 {
+            0 => Request::Ping,
+            1 => Request::Visibility { prefix, date },
+            _ => Request::Stats,
+        };
+        req.write_to(&mut conn).expect("send");
+        Reply::read_from(&mut conn)
+            .expect("reply")
+            .expect("connection stays open");
+    }
+    Request::Metrics.write_to(&mut conn).expect("send metrics");
+    let Some(Reply::Metrics { json }) = Reply::read_from(&mut conn).expect("metrics reply") else {
+        panic!("expected a Metrics reply");
+    };
+    let doc = droplens_obs::json::parse(&json).expect("metrics JSON parses");
+    let counted: u64 = doc
+        .get("kinds")
+        .expect("kinds array")
+        .items()
+        .iter()
+        .map(|k| {
+            k.get("latency_ns")
+                .and_then(|l| l.get("count"))
+                .and_then(Value::as_u64)
+                .expect("latency count")
+        })
+        .sum();
+    assert_eq!(counted, N as u64, "{json}");
+    drop(conn);
+    fresh.stop();
 }
 
 /// Gauge ground truth under sustained overload: with the lone worker
