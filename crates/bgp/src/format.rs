@@ -395,26 +395,8 @@ pub fn parse_updates_bin_with(
     bytes: &[u8],
     quarantine: &mut Quarantine,
 ) -> Result<Vec<BgpUpdate>, ParseError> {
-    let obs = droplens_obs::global();
-    let mut tspan = droplens_obs::trace::global().span("parse.bgp.updates", "parse");
-    tspan.arg_str("file", quarantine.source());
-    match decode_updates_bin(bytes) {
-        Ok(out) => {
-            obs.counter("bgp.updates.parsed").add(out.len() as u64);
-            for _ in &out {
-                quarantine.record_ok();
-            }
-            tspan.arg_u64("records", out.len() as u64);
-            Ok(out)
-        }
-        Err(e) => {
-            obs.counter("bgp.updates.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("bgp.updates", e.to_string());
-            quarantine.reject(0, e)?;
-            Ok(Vec::new())
-        }
-    }
+    let out = quarantine.decode_sidecar("bgp.updates", || decode_updates_bin(bytes), Vec::len)?;
+    Ok(out.unwrap_or_default())
 }
 
 #[cfg(test)]

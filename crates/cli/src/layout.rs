@@ -13,11 +13,17 @@
 //! ```
 //!
 //! Every dataset also gets a `droplens-bin/1` sidecar next to its text
-//! form (`bgp/updates.bin`, `rpki/roas.bin`, `rir/<date>/delegated-
-//! <rir>-extended.bin`, ...). Text stays canonical; the sidecars are
-//! the columnar fast path [`read_binary_archives`] loads without
-//! per-line parsing. [`binary_sidecars_complete`] reports whether a
-//! tree carries the full set, which is how loaders decide the default.
+//! form, with the extension `.bin` (`bgp/updates.bin`, `rpki/roas.bin`,
+//! `rir/<date>/delegated-<rir>-extended.bin`, ...). Text stays
+//! canonical; the sidecars are the columnar fast path.
+//!
+//! The dataset paths are spelled once, in [`droplens_synth::Layout`]
+//! (whose paths are also the study's quarantine labels). One generic
+//! writer and one generic reader walk that table for either
+//! representation: [`read_archives`] reads text, [`read_binary_archives`]
+//! reads sidecars, and [`binary_sidecars_complete`] walks the text tree
+//! probing each file's sidecar twin, which is how loaders pick the
+//! default.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -28,11 +34,11 @@ use droplens_core::StudyConfig;
 use droplens_drop::{Category, SblId};
 use droplens_net::{Asn, Date, DateRange};
 use droplens_rir::Rir;
-use droplens_synth::{BinaryArchives, TextArchives, World};
+use droplens_synth::{Archives, BinaryArchives, Layout, TextArchives, World};
 
 use crate::CliError;
 
-fn write(path: &Path, contents: &str) -> Result<(), CliError> {
+fn write(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent).map_err(|e| CliError::Io(parent.display().to_string(), e))?;
     }
@@ -43,21 +49,12 @@ fn read(path: &Path) -> Result<String, CliError> {
     fs::read_to_string(path).map_err(|e| CliError::Io(path.display().to_string(), e))
 }
 
-fn write_bytes(path: &Path, contents: &[u8]) -> Result<(), CliError> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent).map_err(|e| CliError::Io(parent.display().to_string(), e))?;
-    }
-    fs::write(path, contents).map_err(|e| CliError::Io(path.display().to_string(), e))
-}
-
 fn read_bytes(path: &Path) -> Result<Vec<u8>, CliError> {
     fs::read(path).map_err(|e| CliError::Io(path.display().to_string(), e))
 }
 
 /// Serialize a world into the archive tree rooted at `dir`.
 pub fn write_world(dir: &Path, world: &World) -> Result<(), CliError> {
-    let text = world.to_text_archives();
-
     // Manifest: window plus the peer table.
     let mut manifest = String::from("# droplens archive manifest\n");
     manifest.push_str(&format!(
@@ -74,41 +71,9 @@ pub fn write_world(dir: &Path, world: &World) -> Result<(), CliError> {
     }
     write(&dir.join("manifest.tsv"), &manifest)?;
 
-    write(&dir.join("bgp/updates.txt"), &text.bgp_updates)?;
-    write(&dir.join("irr/journal.txt"), &text.irr_journal)?;
-    write(&dir.join("rpki/roas.csv"), &text.roa_events)?;
-    for (date, files) in &text.rir_snapshots {
-        for (rir, body) in Rir::ALL.iter().zip(files) {
-            let path = dir
-                .join("rir")
-                .join(date.to_compact_string())
-                .join(format!("delegated-{}-extended.txt", rir.token()));
-            write(&path, body)?;
-        }
-    }
-    for (date, body) in &text.drop_snapshots {
-        write(&dir.join("drop").join(format!("{date}.txt")), body)?;
-    }
-    write(&dir.join("sbl/records.txt"), &text.sbl_records)?;
-
-    // The binary sidecars, one per dataset, next to the canonical text.
-    let bin = world.to_binary_archives();
-    write_bytes(&dir.join("bgp/updates.bin"), &bin.bgp_updates)?;
-    write_bytes(&dir.join("irr/journal.bin"), &bin.irr_journal)?;
-    write_bytes(&dir.join("rpki/roas.bin"), &bin.roa_events)?;
-    for (date, files) in &bin.rir_snapshots {
-        for (rir, body) in Rir::ALL.iter().zip(files) {
-            let path = dir
-                .join("rir")
-                .join(date.to_compact_string())
-                .join(format!("delegated-{}-extended.bin", rir.token()));
-            write_bytes(&path, body)?;
-        }
-    }
-    for (date, body) in &bin.drop_snapshots {
-        write_bytes(&dir.join("drop").join(format!("{date}.bin")), body)?;
-    }
-    write_bytes(&dir.join("sbl/records.bin"), &bin.sbl_records)?;
+    // The canonical text, then a binary sidecar next to each file.
+    write_tree(dir, &Layout::TEXT, &world.to_text_archives())?;
+    write_tree(dir, &Layout::BINARY, &world.to_binary_archives())?;
 
     // The analyst's manual labels for keyword-less records.
     let mut labels = String::from("# sbl-id\tcategories\n");
@@ -118,6 +83,26 @@ pub fn write_world(dir: &Path, world: &World) -> Result<(), CliError> {
     }
     write(&dir.join("labels/manual_labels.tsv"), &labels)?;
     Ok(())
+}
+
+/// Write one representation's files at the paths `layout` names.
+fn write_tree<B: AsRef<[u8]>>(
+    dir: &Path,
+    layout: &Layout,
+    archives: &Archives<B>,
+) -> Result<(), CliError> {
+    write(&dir.join(layout.bgp_updates()), &archives.bgp_updates)?;
+    write(&dir.join(layout.irr_journal()), &archives.irr_journal)?;
+    write(&dir.join(layout.roa_events()), &archives.roa_events)?;
+    for (date, files) in &archives.rir_snapshots {
+        for (i, body) in files.iter().enumerate() {
+            write(&dir.join(layout.rir_file(*date, i)), body)?;
+        }
+    }
+    for (date, body) in &archives.drop_snapshots {
+        write(&dir.join(layout.drop_snapshot(*date)), body)?;
+    }
+    write(&dir.join(layout.sbl_records()), &archives.sbl_records)
 }
 
 /// Read the manifest and labels shared by both archive representations.
@@ -157,20 +142,7 @@ fn read_common(dir: &Path) -> Result<(StudyConfig, Vec<Peer>), CliError> {
 /// Read an archive tree back into the pieces `Study::from_text` needs.
 pub fn read_archives(dir: &Path) -> Result<(StudyConfig, Vec<Peer>, TextArchives), CliError> {
     let (config, peers) = read_common(dir)?;
-
-    // Dated subdirectories, sorted by name (= chronological).
-    let rir_snapshots = read_rir_tree(&dir.join("rir"))?;
-    let drop_snapshots = read_drop_tree(&dir.join("drop"))?;
-
-    let text = TextArchives {
-        bgp_updates: read(&dir.join("bgp/updates.txt"))?,
-        irr_journal: read(&dir.join("irr/journal.txt"))?,
-        roa_events: read(&dir.join("rpki/roas.csv"))?,
-        rir_snapshots,
-        drop_snapshots,
-        sbl_records: read(&dir.join("sbl/records.txt"))?,
-    };
-    Ok((config, peers, text))
+    Ok((config, peers, read_tree(dir, &Layout::TEXT, read)?))
 }
 
 /// Read an archive tree's binary sidecars into the pieces
@@ -181,88 +153,66 @@ pub fn read_binary_archives(
     dir: &Path,
 ) -> Result<(StudyConfig, Vec<Peer>, BinaryArchives), CliError> {
     let (config, peers) = read_common(dir)?;
-
-    let mut rir_snapshots = Vec::new();
-    for datedir in sorted_entries(&dir.join("rir"))? {
-        let name = datedir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
-        let date = Date::parse_compact(&name)?;
-        let mut files = Vec::with_capacity(5);
-        for rir in Rir::ALL {
-            let path = datedir.join(format!("delegated-{}-extended.bin", rir.token()));
-            files.push(read_bytes(&path)?);
-        }
-        rir_snapshots.push((date, files));
-    }
-
-    let mut drop_snapshots = Vec::new();
-    for file in sorted_entries(&dir.join("drop"))? {
-        let name = file
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
-        let Some(stem) = name.strip_suffix(".bin") else {
-            continue;
-        };
-        let date: Date = stem.parse()?;
-        drop_snapshots.push((date, read_bytes(&file)?));
-    }
-
-    let bin = BinaryArchives {
-        bgp_updates: read_bytes(&dir.join("bgp/updates.bin"))?,
-        irr_journal: read_bytes(&dir.join("irr/journal.bin"))?,
-        roa_events: read_bytes(&dir.join("rpki/roas.bin"))?,
-        rir_snapshots,
-        drop_snapshots,
-        sbl_records: read_bytes(&dir.join("sbl/records.bin"))?,
-    };
-    Ok((config, peers, bin))
+    Ok((config, peers, read_tree(dir, &Layout::BINARY, read_bytes)?))
 }
 
 /// Whether the tree carries a binary sidecar for every dataset its text
 /// archives cover — the condition under which loading defaults to the
 /// binary fast path. A tree written by an older droplens (or with a
-/// sidecar deleted) is incomplete and loads from text.
+/// sidecar deleted) is incomplete and loads from text. Walks the text
+/// tree without reading it, probing each file's `.bin` twin.
 pub fn binary_sidecars_complete(dir: &Path) -> bool {
-    for fixed in [
-        "bgp/updates.bin",
-        "irr/journal.bin",
-        "rpki/roas.bin",
-        "sbl/records.bin",
-    ] {
-        if !dir.join(fixed).is_file() {
-            return false;
-        }
-    }
-    let Ok(datedirs) = sorted_entries(&dir.join("rir")) else {
-        return false;
+    let twin = |text: &Path| {
+        let sidecar = text.with_extension(Layout::BINARY.ext());
+        sidecar
+            .is_file()
+            .then_some(())
+            .ok_or_else(|| CliError::Usage(format!("missing {}", sidecar.display())))
     };
-    for datedir in datedirs {
-        for rir in Rir::ALL {
-            if !datedir
-                .join(format!("delegated-{}-extended.bin", rir.token()))
-                .is_file()
-            {
-                return false;
-            }
-        }
+    read_tree(dir, &Layout::TEXT, twin).is_ok()
+}
+
+/// Read one representation's files at the paths `layout` names, with
+/// `read` turning each file into its payload. The per-date datasets
+/// are listed from disk: every `rir/<YYYYMMDD>/` directory and every
+/// `drop/*.<ext>` file, sorted by name (= chronologically).
+fn read_tree<B>(
+    dir: &Path,
+    layout: &Layout,
+    read: impl Fn(&Path) -> Result<B, CliError>,
+) -> Result<Archives<B>, CliError> {
+    let mut rir_snapshots = Vec::new();
+    for datedir in sorted_entries(&dir.join("rir"))? {
+        let name = datedir
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        let date = Date::parse_compact(name)?;
+        let files = (0..Rir::ALL.len())
+            .map(|i| read(&dir.join(layout.rir_file(date, i))))
+            .collect::<Result<Vec<_>, _>>()?;
+        rir_snapshots.push((date, files));
     }
-    let Ok(files) = sorted_entries(&dir.join("drop")) else {
-        return false;
-    };
-    for file in files {
-        // Every text snapshot needs its sidecar; bin-only days are fine.
-        if file.extension().and_then(|e| e.to_str()) == Some("txt")
-            && !file.with_extension("bin").is_file()
-        {
-            return false;
+    let mut drop_snapshots = Vec::new();
+    for file in sorted_entries(&dir.join("drop"))? {
+        if file.extension().and_then(|e| e.to_str()) != Some(layout.ext()) {
+            continue;
         }
+        let stem = file
+            .file_stem()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        let date: Date = stem.parse()?;
+        drop_snapshots.push((date, read(&file)?));
     }
-    true
+    Ok(Archives {
+        bgp_updates: read(&dir.join(layout.bgp_updates()))?,
+        irr_journal: read(&dir.join(layout.irr_journal()))?,
+        roa_events: read(&dir.join(layout.roa_events()))?,
+        rir_snapshots,
+        drop_snapshots,
+        sbl_records: read(&dir.join(layout.sbl_records()))?,
+    })
 }
 
 fn read_labels(path: &Path) -> Result<BTreeMap<SblId, Vec<Category>>, CliError> {
@@ -294,41 +244,5 @@ fn sorted_entries(dir: &Path) -> Result<Vec<PathBuf>, CliError> {
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();
     out.sort();
-    Ok(out)
-}
-
-fn read_rir_tree(dir: &Path) -> Result<Vec<(Date, Vec<String>)>, CliError> {
-    let mut out = Vec::new();
-    for datedir in sorted_entries(dir)? {
-        let name = datedir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
-        let date = Date::parse_compact(&name)?;
-        let mut files = Vec::with_capacity(5);
-        for rir in Rir::ALL {
-            let path = datedir.join(format!("delegated-{}-extended.txt", rir.token()));
-            files.push(read(&path)?);
-        }
-        out.push((date, files));
-    }
-    Ok(out)
-}
-
-fn read_drop_tree(dir: &Path) -> Result<Vec<(Date, String)>, CliError> {
-    let mut out = Vec::new();
-    for file in sorted_entries(dir)? {
-        let name = file
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
-        let Some(stem) = name.strip_suffix(".txt") else {
-            continue;
-        };
-        let date: Date = stem.parse()?;
-        out.push((date, read(&file)?));
-    }
     Ok(out)
 }

@@ -1,6 +1,7 @@
 //! The study: all five sources loaded, indexed, and annotated.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 
 use droplens_bgp::{format as bgpfmt, BgpArchive, BgpUpdate, Peer};
 use droplens_drop::{
@@ -16,7 +17,7 @@ use droplens_rir::format::{parse_stats_file_bin_with, parse_stats_file_with, Sta
 use droplens_rir::{Rir, RirStatsArchive};
 use droplens_rpki::format::{parse_events_bin_with, parse_events_with, RoaEvent};
 use droplens_rpki::RoaArchive;
-use droplens_synth::{BinaryArchives, TextArchives, World};
+use droplens_synth::{Archives, BinaryArchives, Layout, TextArchives, World};
 
 /// Expected days between RIR delegated-stats snapshots: the synthetic
 /// world publishes them monthly, so a ≤31-day delta is not a gap.
@@ -130,22 +131,39 @@ pub struct Study {
     pub ingest: IngestReport,
 }
 
-/// Every source's parsed records plus its quarantine ledger — the output
-/// of a load stage (text or binary), ready for indexing.
-struct LoadedSources {
-    updates: Vec<BgpUpdate>,
-    bgp_q: Quarantine,
-    irr_journal: Vec<JournalEntry>,
-    irr_q: Quarantine,
-    roa_events: Vec<RoaEvent>,
-    rpki_q: Quarantine,
-    rir_files: Vec<(Date, Vec<StatsFile>)>,
-    rir_q: Quarantine,
-    snapshots: Vec<DropSnapshot>,
-    drop_q: Quarantine,
-    sbl: SblDatabase,
-    sbl_q: Quarantine,
+/// One archive representation's decoders, per file, and the tree
+/// layout its quarantine labels name: all that [`Study::from_text`] and
+/// [`Study::from_binary`] differ by. `P` is the borrowed payload (`str`
+/// for text, `[u8]` for sidecars).
+struct Decoders<P: ?Sized> {
+    layout: Layout,
+    bgp: fn(&P, &mut Quarantine) -> Result<Vec<BgpUpdate>, ParseError>,
+    irr: fn(&P, &mut Quarantine) -> Result<Vec<JournalEntry>, ParseError>,
+    rpki: fn(&P, &mut Quarantine) -> Result<Vec<RoaEvent>, ParseError>,
+    rir: fn(&P, &mut Quarantine) -> Result<Option<StatsFile>, ParseError>,
+    drop: fn(Date, &P, &mut Quarantine) -> Result<DropSnapshot, ParseError>,
+    sbl: fn(&P, &mut Quarantine) -> Result<SblDatabase, ParseError>,
 }
+
+const TEXT: Decoders<str> = Decoders {
+    layout: Layout::TEXT,
+    bgp: bgpfmt::parse_updates_with,
+    irr: journal::parse_journal_with,
+    rpki: parse_events_with,
+    rir: parse_stats_file_with,
+    drop: DropSnapshot::parse_with,
+    sbl: SblDatabase::parse_with,
+};
+
+const BINARY: Decoders<[u8]> = Decoders {
+    layout: Layout::BINARY,
+    bgp: bgpfmt::parse_updates_bin_with,
+    irr: irrbin::parse_journal_bin_with,
+    rpki: parse_events_bin_with,
+    rir: parse_stats_file_bin_with,
+    drop: dropfmt::parse_snapshot_bin_with,
+    sbl: dropfmt::parse_sbl_bin_with,
+};
 
 impl Study {
     /// Build a study directly from a generated world.
@@ -204,55 +222,78 @@ impl Study {
         peers: Vec<Peer>,
         text: &TextArchives,
     ) -> Result<Study, IngestError> {
+        Self::load(config, peers, text, &TEXT)
+    }
+
+    /// Build a study from `droplens-bin/1` sidecar archives — the binary
+    /// fast path. Loads the very same records as [`Study::from_text`]
+    /// (a round-trip equivalence test in this crate proves the resulting
+    /// studies are identical), without per-line scanning.
+    ///
+    /// Quarantine semantics differ only in granularity: a binary sidecar
+    /// cannot be resynchronized mid-stream, so damage quarantines the
+    /// whole archive rather than one record.
+    pub fn from_binary(
+        config: StudyConfig,
+        peers: Vec<Peer>,
+        bin: &BinaryArchives,
+    ) -> Result<Study, IngestError> {
+        Self::load(config, peers, bin, &BINARY)
+    }
+
+    /// The one load path behind both representations: parse the five
+    /// sources with `dec`, build the ingestion ledger, enforce the
+    /// policy budgets, index, and assemble the study.
+    fn load<B: Deref + Sync>(
+        config: StudyConfig,
+        peers: Vec<Peer>,
+        archives: &Archives<B>,
+        dec: &Decoders<B::Target>,
+    ) -> Result<Study, IngestError> {
+        let obs = droplens_obs::global();
         let mut load_span = droplens_obs::trace::global().span("load", "stage");
         let policy = config.ingest;
+        let layout = &dec.layout;
         // The five wire formats parse independently (each closure owns one
         // source, its counters commute, and its quarantine ledger is
         // merged in fixed input order), so the load stage fans out while
         // staying deterministic at any worker count.
         let (bgp_res, irr_res, rpki_res, rir_res, drop_res) = droplens_par::join5(
             || {
-                let mut q = Quarantine::for_policy("bgp/updates.txt", &policy);
-                let updates = bgpfmt::parse_updates_with(&text.bgp_updates, &mut q)?;
+                let mut q = Quarantine::for_policy(layout.bgp_updates(), &policy);
+                let updates = (dec.bgp)(&archives.bgp_updates, &mut q)?;
                 Ok::<_, ParseError>((updates, q))
             },
             || {
-                let mut q = Quarantine::for_policy("irr/journal.txt", &policy);
-                let entries = journal::parse_journal_with(&text.irr_journal, &mut q)?;
+                let mut q = Quarantine::for_policy(layout.irr_journal(), &policy);
+                let entries = (dec.irr)(&archives.irr_journal, &mut q)?;
                 Ok::<_, ParseError>((entries, q))
             },
             || {
-                let mut q = Quarantine::for_policy("rpki/roas.csv", &policy);
-                let events = parse_events_with(&text.roa_events, &mut q)?;
+                let mut q = Quarantine::for_policy(layout.roa_events(), &policy);
+                let events = (dec.rpki)(&archives.roa_events, &mut q)?;
                 Ok::<_, ParseError>((events, q))
             },
             || {
-                let per_snapshot = droplens_par::par_map(&text.rir_snapshots, |(date, files)| {
-                    let mut kept = Vec::with_capacity(files.len());
-                    let mut merged = Quarantine::for_policy("rir", &policy);
-                    for (i, f) in files.iter().enumerate() {
-                        let label = match Rir::ALL.get(i) {
-                            Some(r) => format!(
-                                "rir/{}/delegated-{}-extended.txt",
-                                date.compact(),
-                                r.token()
-                            ),
-                            None => format!("rir/{}/file{}", date.compact(), i),
-                        };
-                        let mut q = Quarantine::for_policy(label, &policy);
-                        // `None` = the file was structurally unusable and
-                        // quarantined whole; the snapshot keeps the rest.
-                        if let Some(file) = parse_stats_file_with(f, &mut q)? {
-                            kept.push(file);
+                let per_snapshot =
+                    droplens_par::par_map(&archives.rir_snapshots, |(date, files)| {
+                        let mut kept = Vec::with_capacity(files.len());
+                        let mut merged = Quarantine::for_policy("rir", &policy);
+                        for (i, f) in files.iter().enumerate() {
+                            let mut q = Quarantine::for_policy(layout.rir_file(*date, i), &policy);
+                            // `None` = the file was unusable and quarantined
+                            // whole; the snapshot keeps the rest.
+                            if let Some(file) = (dec.rir)(f, &mut q)? {
+                                kept.push(file);
+                            }
+                            merged.absorb(q);
                         }
-                        merged.absorb(q);
-                    }
-                    Ok::<_, ParseError>((*date, kept, merged))
-                });
+                        Ok::<_, ParseError>((*date, kept, merged))
+                    });
                 let mut out = Vec::new();
                 let mut partial = Vec::new();
                 let mut q = Quarantine::for_policy("rir", &policy);
-                for (r, (_, raw_files)) in per_snapshot.into_iter().zip(&text.rir_snapshots) {
+                for (r, (_, raw_files)) in per_snapshot.into_iter().zip(&archives.rir_snapshots) {
                     let (date, kept, merged) = r?;
                     // Quarantined rows or a dropped file make the
                     // snapshot untrustworthy about *absent* spans.
@@ -269,11 +310,12 @@ impl Study {
                 Ok::<_, ParseError>((out, q))
             },
             || {
-                let per_snapshot = droplens_par::par_map(&text.drop_snapshots, |(date, body)| {
-                    let mut q = Quarantine::for_policy(format!("drop/{date}.txt"), &policy);
-                    let snap = DropSnapshot::parse_with(*date, body, &mut q)?;
-                    Ok::<_, ParseError>((snap, q))
-                });
+                let per_snapshot =
+                    droplens_par::par_map(&archives.drop_snapshots, |(date, body)| {
+                        let mut q = Quarantine::for_policy(layout.drop_snapshot(*date), &policy);
+                        let snap = (dec.drop)(*date, body, &mut q)?;
+                        Ok::<_, ParseError>((snap, q))
+                    });
                 let mut snapshots = Vec::with_capacity(per_snapshot.len());
                 let mut partial = Vec::with_capacity(per_snapshot.len());
                 let mut q = Quarantine::for_policy("drop", &policy);
@@ -286,8 +328,8 @@ impl Study {
                     snapshots.push(snap);
                 }
                 droplens_drop::repair_flickers(&mut snapshots, &partial);
-                let mut sbl_q = Quarantine::for_policy("sbl/records.txt", &policy);
-                let sbl = SblDatabase::parse_with(&text.sbl_records, &mut sbl_q)?;
+                let mut sbl_q = Quarantine::for_policy(layout.sbl_records(), &policy);
+                let sbl = (dec.sbl)(&archives.sbl_records, &mut sbl_q)?;
                 Ok::<_, ParseError>((snapshots, q, sbl, sbl_q))
             },
         );
@@ -302,173 +344,6 @@ impl Study {
             .arg_u64("roa_events", roa_events.len() as u64)
             .arg_u64("drop_days", snapshots.len() as u64);
         load_span.finish();
-        Self::index_and_assemble(
-            config,
-            peers,
-            LoadedSources {
-                updates,
-                bgp_q,
-                irr_journal,
-                irr_q,
-                roa_events,
-                rpki_q,
-                rir_files,
-                rir_q,
-                snapshots,
-                drop_q,
-                sbl,
-                sbl_q,
-            },
-        )
-    }
-
-    /// Build a study from `droplens-bin/1` sidecar archives — the binary
-    /// fast path. Loads the very same records as [`Study::from_text`]
-    /// (a round-trip equivalence test in this crate proves the resulting
-    /// studies are identical), without per-line scanning.
-    ///
-    /// Quarantine semantics differ only in granularity: a binary sidecar
-    /// cannot be resynchronized mid-stream, so damage quarantines the
-    /// whole archive rather than one record.
-    pub fn from_binary(
-        config: StudyConfig,
-        peers: Vec<Peer>,
-        bin: &BinaryArchives,
-    ) -> Result<Study, IngestError> {
-        let mut load_span = droplens_obs::trace::global().span("load", "stage");
-        let policy = config.ingest;
-        // Same fan-out shape as `from_text`: five independent sources,
-        // fixed tuple positions, deterministic at any worker count.
-        let (bgp_res, irr_res, rpki_res, rir_res, drop_res) = droplens_par::join5(
-            || {
-                let mut q = Quarantine::for_policy("bgp/updates.bin", &policy);
-                let updates = bgpfmt::parse_updates_bin_with(&bin.bgp_updates, &mut q)?;
-                Ok::<_, ParseError>((updates, q))
-            },
-            || {
-                let mut q = Quarantine::for_policy("irr/journal.bin", &policy);
-                let entries = irrbin::parse_journal_bin_with(&bin.irr_journal, &mut q)?;
-                Ok::<_, ParseError>((entries, q))
-            },
-            || {
-                let mut q = Quarantine::for_policy("rpki/roas.bin", &policy);
-                let events = parse_events_bin_with(&bin.roa_events, &mut q)?;
-                Ok::<_, ParseError>((events, q))
-            },
-            || {
-                let per_snapshot = droplens_par::par_map(&bin.rir_snapshots, |(date, files)| {
-                    let mut kept = Vec::with_capacity(files.len());
-                    let mut merged = Quarantine::for_policy("rir", &policy);
-                    for (i, f) in files.iter().enumerate() {
-                        let label = match Rir::ALL.get(i) {
-                            Some(r) => format!(
-                                "rir/{}/delegated-{}-extended.bin",
-                                date.compact(),
-                                r.token()
-                            ),
-                            None => format!("rir/{}/file{}", date.compact(), i),
-                        };
-                        let mut q = Quarantine::for_policy(label, &policy);
-                        // `None` = the sidecar was damaged and quarantined
-                        // whole; the snapshot keeps the rest.
-                        if let Some(file) = parse_stats_file_bin_with(f, &mut q)? {
-                            kept.push(file);
-                        }
-                        merged.absorb(q);
-                    }
-                    Ok::<_, ParseError>((*date, kept, merged))
-                });
-                let mut out = Vec::new();
-                let mut partial = Vec::new();
-                let mut q = Quarantine::for_policy("rir", &policy);
-                for (r, (_, raw_files)) in per_snapshot.into_iter().zip(&bin.rir_snapshots) {
-                    let (date, kept, merged) = r?;
-                    let damaged = merged.quarantined > 0 || kept.len() < raw_files.len();
-                    q.absorb(merged);
-                    if !kept.is_empty() {
-                        out.push((date, kept));
-                        partial.push(damaged);
-                    }
-                }
-                droplens_rir::format::repair_flickers(&mut out, &partial);
-                Ok::<_, ParseError>((out, q))
-            },
-            || {
-                let per_snapshot = droplens_par::par_map(&bin.drop_snapshots, |(date, body)| {
-                    let mut q = Quarantine::for_policy(format!("drop/{date}.bin"), &policy);
-                    let snap = dropfmt::parse_snapshot_bin_with(*date, body, &mut q)?;
-                    Ok::<_, ParseError>((snap, q))
-                });
-                let mut snapshots = Vec::with_capacity(per_snapshot.len());
-                let mut partial = Vec::with_capacity(per_snapshot.len());
-                let mut q = Quarantine::for_policy("drop", &policy);
-                for r in per_snapshot {
-                    let (snap, file_q) = r?;
-                    partial.push(file_q.quarantined > 0);
-                    q.absorb(file_q);
-                    snapshots.push(snap);
-                }
-                droplens_drop::repair_flickers(&mut snapshots, &partial);
-                let mut sbl_q = Quarantine::for_policy("sbl/records.bin", &policy);
-                let sbl = dropfmt::parse_sbl_bin_with(&bin.sbl_records, &mut sbl_q)?;
-                Ok::<_, ParseError>((snapshots, q, sbl, sbl_q))
-            },
-        );
-        let (updates, bgp_q) = bgp_res?;
-        let (irr_journal, irr_q) = irr_res?;
-        let (roa_events, rpki_q) = rpki_res?;
-        let (rir_files, rir_q) = rir_res?;
-        let (snapshots, drop_q, sbl, sbl_q) = drop_res?;
-        load_span
-            .arg_u64("bgp_updates", updates.len() as u64)
-            .arg_u64("irr_entries", irr_journal.len() as u64)
-            .arg_u64("roa_events", roa_events.len() as u64)
-            .arg_u64("drop_days", snapshots.len() as u64);
-        load_span.finish();
-        Self::index_and_assemble(
-            config,
-            peers,
-            LoadedSources {
-                updates,
-                bgp_q,
-                irr_journal,
-                irr_q,
-                roa_events,
-                rpki_q,
-                rir_files,
-                rir_q,
-                snapshots,
-                drop_q,
-                sbl,
-                sbl_q,
-            },
-        )
-    }
-
-    /// The shared back half of [`Study::from_text`] and
-    /// [`Study::from_binary`]: build the ingestion ledger, enforce the
-    /// policy budgets, index the five sources, and assemble the study.
-    fn index_and_assemble(
-        config: StudyConfig,
-        peers: Vec<Peer>,
-        loaded: LoadedSources,
-    ) -> Result<Study, IngestError> {
-        let obs = droplens_obs::global();
-        let policy = config.ingest;
-        let LoadedSources {
-            updates,
-            bgp_q,
-            irr_journal,
-            irr_q,
-            roa_events,
-            rpki_q,
-            rir_files,
-            rir_q,
-            snapshots,
-            drop_q,
-            sbl,
-            sbl_q,
-        } = loaded;
 
         // Assemble the pipeline-wide ledger in fixed source order and
         // enforce the budgets before paying for indexing.

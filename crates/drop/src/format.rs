@@ -97,27 +97,12 @@ pub fn parse_snapshot_bin_with(
     bytes: &[u8],
     quarantine: &mut Quarantine,
 ) -> Result<DropSnapshot, ParseError> {
-    let obs = droplens_obs::global();
-    let mut tspan = droplens_obs::trace::global().span("parse.drop.list", "parse");
-    tspan.arg_str("file", quarantine.source());
-    match decode_snapshot_bin(date, bytes) {
-        Ok(snapshot) => {
-            obs.counter("drop.list.parsed")
-                .add(snapshot.entries.len() as u64);
-            for _ in &snapshot.entries {
-                quarantine.record_ok();
-            }
-            tspan.arg_u64("records", snapshot.entries.len() as u64);
-            Ok(snapshot)
-        }
-        Err(e) => {
-            obs.counter("drop.list.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("drop.list", e.to_string());
-            quarantine.reject(0, e)?;
-            Ok(DropSnapshot::new(date))
-        }
-    }
+    let snapshot = quarantine.decode_sidecar(
+        "drop.list",
+        || decode_snapshot_bin(date, bytes),
+        |s| s.entries.len(),
+    )?;
+    Ok(snapshot.unwrap_or_else(|| DropSnapshot::new(date)))
 }
 
 /// Serialize an SBL database as a binary sidecar: `u32 count`, then
@@ -159,26 +144,8 @@ pub fn parse_sbl_bin_with(
     bytes: &[u8],
     quarantine: &mut Quarantine,
 ) -> Result<SblDatabase, ParseError> {
-    let obs = droplens_obs::global();
-    let mut tspan = droplens_obs::trace::global().span("parse.drop.sbl", "parse");
-    tspan.arg_str("file", quarantine.source());
-    match decode_sbl_bin(bytes) {
-        Ok(db) => {
-            obs.counter("drop.sbl.parsed").add(db.len() as u64);
-            for _ in 0..db.len() {
-                quarantine.record_ok();
-            }
-            tspan.arg_u64("records", db.len() as u64);
-            Ok(db)
-        }
-        Err(e) => {
-            obs.counter("drop.sbl.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("drop.sbl", e.to_string());
-            quarantine.reject(0, e)?;
-            Ok(SblDatabase::new())
-        }
-    }
+    let db = quarantine.decode_sidecar("drop.sbl", || decode_sbl_bin(bytes), SblDatabase::len)?;
+    Ok(db.unwrap_or_else(SblDatabase::new))
 }
 
 #[cfg(test)]

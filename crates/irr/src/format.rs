@@ -194,26 +194,8 @@ pub fn parse_journal_bin_with(
     bytes: &[u8],
     quarantine: &mut Quarantine,
 ) -> Result<Vec<JournalEntry>, ParseError> {
-    let obs = droplens_obs::global();
-    let mut tspan = droplens_obs::trace::global().span("parse.irr.journal", "parse");
-    tspan.arg_str("file", quarantine.source());
-    match decode_journal_bin(bytes) {
-        Ok(out) => {
-            obs.counter("irr.journal.parsed").add(out.len() as u64);
-            for _ in &out {
-                quarantine.record_ok();
-            }
-            tspan.arg_u64("records", out.len() as u64);
-            Ok(out)
-        }
-        Err(e) => {
-            obs.counter("irr.journal.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("irr.journal", e.to_string());
-            quarantine.reject(0, e)?;
-            Ok(Vec::new())
-        }
-    }
+    let out = quarantine.decode_sidecar("irr.journal", || decode_journal_bin(bytes), Vec::len)?;
+    Ok(out.unwrap_or_default())
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! | `ordered-output` | modules that write archives, reports, or traces | `HashMap`, `HashSet` |
 //! | `no-wallclock` | everything outside `crates/obs` | `Instant::now`, `SystemTime::now` |
 //! | `seeded-rng-only` | everywhere | `thread_rng`, `from_entropy`, `from_os_rng`, `OsRng`, `rand::random` |
-//! | `located-errors` | parser modules (format/journal/list) | `ParseError::new` with no `.with_location` on any intra-file caller path |
+//! | `located-errors` | parser modules (format/journal/list) | `ParseError::new` with no `.with_location` (or `.decode_sidecar`) on any intra-file caller path |
 //! | `no-unbounded-collect` | parser/writer hot paths (format/archive) | `.collect` without an acknowledging escape |
 //! | `no-string-keyed-hot-map` | parser/writer hot paths (format/archive) | `HashMap<String, _>` / `BTreeMap<String, _>` |
 //! | `no-deadline-free-io` | serve-path modules (server/client/loadgen/net) | `TcpStream::connect`, and socket read/write in functions with no configured timeout |
@@ -221,10 +221,10 @@ impl LintReport {
             let _ = write!(
                 out,
                 "{{\"path\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-                json_escape(&d.path),
+                droplens_obs::json::escape(&d.path),
                 d.line,
                 d.rule.name(),
-                json_escape(&d.message),
+                droplens_obs::json::escape(&d.message),
             );
         }
         out.push_str("]}\n");
@@ -260,8 +260,8 @@ impl LintReport {
                  \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
                  \"region\":{{\"startLine\":{}}}}}}}]}}",
                 d.rule.name(),
-                json_escape(&d.message),
-                json_escape(&d.path),
+                droplens_obs::json::escape(&d.message),
+                droplens_obs::json::escape(&d.path),
                 d.line,
             );
         }
@@ -281,7 +281,7 @@ impl LintReport {
                 "{}\t{}\t{}",
                 d.path,
                 d.rule.name(),
-                json_escape(&d.message)
+                droplens_obs::json::escape(&d.message)
             );
         }
         out
@@ -310,7 +310,7 @@ impl LintReport {
             let key = (
                 d.path.clone(),
                 d.rule.name().to_owned(),
-                json_escape(&d.message),
+                droplens_obs::json::escape(&d.message),
             );
             match budget.get_mut(&key) {
                 Some(n) if *n > 0 => {
@@ -322,24 +322,6 @@ impl LintReport {
         }
         self.diagnostics = kept;
     }
-}
-
-/// Escape `s` as the body of a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Which rules apply to the file at `path` (workspace-relative).
@@ -835,6 +817,22 @@ fn parse_all(text: &str) -> Result<Vec<u32>, ParseError> {
         }
     }
     Ok(out)
+}
+"#;
+        let (diags, _) = lint_source("crates/x/src/format.rs", src);
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn located_errors_accepts_the_sidecar_helper() {
+        // The decoder returns bare errors; the wrapper hands it to the
+        // whole-sidecar quarantine helper, which locates at `label:0`.
+        let src = r#"
+fn decode(b: &[u8]) -> Result<u32, ParseError> {
+    b.first().map(|&v| u32::from(v)).ok_or_else(|| ParseError::new("Bin", "", "empty"))
+}
+pub fn parse_bin_with(b: &[u8], q: &mut Quarantine) -> Result<u32, ParseError> {
+    Ok(q.decode_sidecar("x.y", || decode(b), |_| 1)?.unwrap_or_default())
 }
 "#;
         let (diags, _) = lint_source("crates/x/src/format.rs", src);

@@ -617,8 +617,9 @@ struct FnDef<'a> {
 
 /// `located-errors`: every `ParseError::new(...)` in a parser module
 /// must end up located. A construction passes when the function it sits
-/// in attaches `.with_location(...)` somewhere, or when every intra-file
-/// caller of that function (transitively) does. This matches the parser
+/// in attaches `.with_location(...)` somewhere (or hands the decode to
+/// `Quarantine::decode_sidecar`, which locates at `label:0`), or when
+/// every intra-file caller of that function (transitively) does. This matches the parser
 /// idiom where line-level helpers return bare errors and the archive
 /// loop stamps file:line on the way out.
 fn located_errors(view: &FileView<'_>, hits: &mut Vec<Hit>) {
@@ -690,7 +691,12 @@ fn located_errors(view: &FileView<'_>, hits: &mut Vec<Hit>) {
                 None => orphans.push(p),
             }
         }
-        if view.text(p) == "with_location" && p > 0 && view.text(p - 1) == "." {
+        // `.decode_sidecar(` is droplens-net's whole-sidecar quarantine
+        // helper, which stamps `label:0` on the decode error itself.
+        if matches!(view.text(p), "with_location" | "decode_sidecar")
+            && p > 0
+            && view.text(p - 1) == "."
+        {
             if let Some(k) = owner(p) {
                 fns[k].has_with_location = true;
             }

@@ -216,6 +216,44 @@ impl Quarantine {
         }
     }
 
+    /// Decode one `droplens-bin/1` sidecar as a single quarantine unit.
+    ///
+    /// A binary sidecar cannot be resynchronized mid-stream, so `decode`
+    /// either yields the whole archive or damages all of it. `source`
+    /// (`bgp.updates`, `rir.stats`, ...) names the `parse.{source}` span
+    /// around the decode, the `{source}.parsed` / `{source}.malformed`
+    /// counters and the error-sample key. On success the `records`
+    /// count lands on both the counter and this ledger; on damage the
+    /// error is located at `{label}:0`, sampled, and handed to
+    /// [`Quarantine::reject`]: strict propagates it, permissive returns
+    /// `Ok(None)` so the caller substitutes its empty value.
+    pub fn decode_sidecar<T>(
+        &mut self,
+        source: &str,
+        decode: impl FnOnce() -> Result<T, ParseError>,
+        records: impl FnOnce(&T) -> usize,
+    ) -> Result<Option<T>, ParseError> {
+        let obs = droplens_obs::global();
+        let mut tspan = droplens_obs::trace::global().span(&format!("parse.{source}"), "parse");
+        tspan.arg_str("file", self.source.as_str());
+        match decode() {
+            Ok(value) => {
+                let n = records(&value) as u64;
+                obs.counter(&format!("{source}.parsed")).add(n);
+                self.parsed += n;
+                tspan.arg_u64("records", n);
+                Ok(Some(value))
+            }
+            Err(e) => {
+                obs.counter(&format!("{source}.malformed")).inc();
+                let e = e.with_location(&self.source, 0);
+                obs.error_sample(source, e.to_string());
+                self.reject(0, e)?;
+                Ok(None)
+            }
+        }
+    }
+
     /// Merge another ledger into this one (multi-file sources). Counts
     /// add; samples keep the first [`QUARANTINE_SAMPLES_KEPT`] in merge
     /// order, so merging in input order is deterministic.
@@ -500,7 +538,7 @@ impl IngestReport {
             let _ = write!(
                 out,
                 "\n    \"{}\": {{\"parsed\":{},\"skipped\":{},\"quarantined\":{},\"error_rate\":{:.6},",
-                json_escape(name),
+                droplens_obs::json::escape(name),
                 q.parsed,
                 q.skipped,
                 q.quarantined,
@@ -511,7 +549,7 @@ impl IngestReport {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\"", json_escape(&s.to_string()));
+                let _ = write!(out, "\"{}\"", droplens_obs::json::escape(&s.to_string()));
             }
             let _ = write!(
                 out,
@@ -541,24 +579,6 @@ impl IngestReport {
         out.push_str("\n  }\n}\n");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Why an ingestion run failed.

@@ -355,27 +355,11 @@ pub fn parse_stats_file_bin_with(
     bytes: &[u8],
     quarantine: &mut Quarantine,
 ) -> Result<Option<StatsFile>, ParseError> {
-    let obs = droplens_obs::global();
-    let mut tspan = droplens_obs::trace::global().span("parse.rir.stats", "parse");
-    tspan.arg_str("file", quarantine.source());
-    match decode_stats_file_bin(bytes) {
-        Ok(file) => {
-            obs.counter("rir.stats.parsed")
-                .add(file.records.len() as u64);
-            for _ in &file.records {
-                quarantine.record_ok();
-            }
-            tspan.arg_u64("records", file.records.len() as u64);
-            Ok(Some(file))
-        }
-        Err(e) => {
-            obs.counter("rir.stats.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("rir.stats", e.to_string());
-            quarantine.reject(0, e)?;
-            Ok(None)
-        }
-    }
+    quarantine.decode_sidecar(
+        "rir.stats",
+        || decode_stats_file_bin(bytes),
+        |f| f.records.len(),
+    )
 }
 
 /// Repair quarantine flicker across a chronological series of stats

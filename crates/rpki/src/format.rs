@@ -291,26 +291,8 @@ pub fn parse_events_bin_with(
     bytes: &[u8],
     quarantine: &mut Quarantine,
 ) -> Result<Vec<RoaEvent>, ParseError> {
-    let obs = droplens_obs::global();
-    let mut tspan = droplens_obs::trace::global().span("parse.rpki.events", "parse");
-    tspan.arg_str("file", quarantine.source());
-    match decode_events_bin(bytes) {
-        Ok(out) => {
-            obs.counter("rpki.events.parsed").add(out.len() as u64);
-            for _ in &out {
-                quarantine.record_ok();
-            }
-            tspan.arg_u64("records", out.len() as u64);
-            Ok(out)
-        }
-        Err(e) => {
-            obs.counter("rpki.events.malformed").inc();
-            let e = e.with_location(quarantine.source(), 0);
-            obs.error_sample("rpki.events", e.to_string());
-            quarantine.reject(0, e)?;
-            Ok(Vec::new())
-        }
-    }
+    let out = quarantine.decode_sidecar("rpki.events", || decode_events_bin(bytes), Vec::len)?;
+    Ok(out.unwrap_or_default())
 }
 
 #[cfg(test)]

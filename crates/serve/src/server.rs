@@ -36,7 +36,7 @@ use droplens_obs::{Clock, WindowConfig};
 use crate::engine::Engine;
 use crate::net::DeadlineStream;
 use crate::protocol::{self, Reply, Request, WireError};
-use crate::telemetry::{request_args, LifetimeTotals, RequestTiming, Telemetry};
+use crate::telemetry::{request_args, RequestTiming, Telemetry};
 
 /// How many fault messages the ledger retains verbatim.
 pub const LEDGER_SAMPLES_KEPT: usize = 16;
@@ -104,29 +104,15 @@ impl ServeLedger {
         out.push_str("  \"samples\": [\n");
         for (i, s) in self.samples.iter().enumerate() {
             let comma = if i + 1 == self.samples.len() { "" } else { "," };
-            out.push_str(&format!("    {}{}\n", json_string(s), comma));
+            out.push_str(&format!(
+                "    \"{}\"{}\n",
+                droplens_obs::json::escape(s),
+                comma
+            ));
         }
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// What the server did over its lifetime; returned by
@@ -153,50 +139,6 @@ impl ServeReport {
     }
 }
 
-/// Obs handles the hot path bumps without registry lookups.
-struct Counters {
-    connections: droplens_obs::Counter,
-    queries: droplens_obs::Counter,
-    busy: droplens_obs::Counter,
-    malformed: droplens_obs::Counter,
-    io_errors: droplens_obs::Counter,
-}
-
-impl Counters {
-    fn new() -> Counters {
-        let reg = droplens_obs::global();
-        Counters {
-            connections: reg.counter("serve.connections"),
-            queries: reg.counter("serve.queries"),
-            busy: reg.counter("serve.busy"),
-            malformed: reg.counter("serve.malformed"),
-            io_errors: reg.counter("serve.io_errors"),
-        }
-    }
-
-    /// Live counter pairs merged into a `stats` reply, sorted by name.
-    fn stats_pairs(&self) -> Vec<(String, u64)> {
-        vec![
-            ("serve.busy".to_owned(), self.busy.value()),
-            ("serve.connections".to_owned(), self.connections.value()),
-            ("serve.io_errors".to_owned(), self.io_errors.value()),
-            ("serve.malformed".to_owned(), self.malformed.value()),
-            ("serve.queries".to_owned(), self.queries.value()),
-        ]
-    }
-
-    /// The same counters as a snapshot struct for the telemetry plane.
-    fn totals(&self) -> LifetimeTotals {
-        LifetimeTotals {
-            connections: self.connections.value(),
-            queries: self.queries.value(),
-            busy: self.busy.value(),
-            malformed: self.malformed.value(),
-            io_errors: self.io_errors.value(),
-        }
-    }
-}
-
 /// A connection waiting in the bounded queue, stamped on accept so the
 /// pulling worker can charge the queue-wait phase.
 struct Queued {
@@ -207,7 +149,6 @@ struct Queued {
 /// State shared by the acceptor and every worker.
 struct Shared {
     engine: Arc<Engine>,
-    counters: Counters,
     telemetry: Telemetry,
     queue_capacity: usize,
     workers: usize,
@@ -219,7 +160,7 @@ impl Shared {
     /// Render the live telemetry snapshot (what `Metrics` answers).
     fn metrics_json(&self) -> String {
         self.telemetry
-            .snapshot_json(self.counters.totals(), self.queue_capacity, self.workers)
+            .snapshot_json(self.queue_capacity, self.workers)
     }
 }
 
@@ -245,7 +186,6 @@ impl Server {
         let slow_ns = u64::try_from(config.slow_threshold.as_nanos()).unwrap_or(u64::MAX);
         let shared = Arc::new(Shared {
             engine,
-            counters: Counters::new(),
             telemetry: Telemetry::new(Clock::real(), WindowConfig::default(), slow_ns),
             queue_capacity: config.queue_depth.max(1),
             workers: config.workers.max(1),
@@ -317,7 +257,7 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        let c = &self.shared.counters;
+        let c = &self.shared.telemetry.lifetime;
         let ledger = self
             .shared
             .ledger
@@ -384,7 +324,6 @@ fn accept_loop(
 /// Typed overload shedding: one `Busy` frame inside the write deadline,
 /// then close.
 fn shed(conn: &mut DeadlineStream, shared: &Shared) {
-    shared.counters.busy.inc();
     shared.telemetry.shed();
     let _ = Reply::Busy.write_to(conn);
 }
@@ -413,7 +352,6 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Queued>>>, shared: &Shared) {
             shed(&mut conn, shared);
             continue;
         }
-        shared.counters.connections.inc();
         shared.telemetry.conn_started();
         handle_conn(&mut conn, shared);
         shared.telemetry.conn_finished();
@@ -439,7 +377,6 @@ fn handle_conn(conn: &mut DeadlineStream, shared: &Shared) {
                 return;
             }
             Err(WireError::Io(e)) => {
-                shared.counters.io_errors.inc();
                 shared.telemetry.io_error();
                 record_fault(shared, false, e.to_string());
                 return;
@@ -459,7 +396,7 @@ fn handle_conn(conn: &mut DeadlineStream, shared: &Shared) {
         let decode_done = clock.now_ns();
         let mut reply = shared.engine.answer(&req);
         if let Reply::Stats { pairs } = &mut reply {
-            pairs.extend(shared.counters.stats_pairs());
+            pairs.extend(shared.telemetry.lifetime.pairs());
             pairs.sort();
         }
         if let Reply::Metrics { json } = &mut reply {
@@ -467,7 +404,6 @@ fn handle_conn(conn: &mut DeadlineStream, shared: &Shared) {
             *json = shared.metrics_json();
         }
         let engine_done = clock.now_ns();
-        shared.counters.queries.inc();
         let write_ok = reply.write_to(conn).is_ok();
         let timing = RequestTiming {
             decode_ns: decode_done.saturating_sub(read_done),
@@ -481,7 +417,6 @@ fn handle_conn(conn: &mut DeadlineStream, shared: &Shared) {
             // Peer gone mid-reply (reset or write deadline); isolated
             // to this connection. The per-kind error series was already
             // bumped by `request_served`.
-            shared.counters.io_errors.inc();
             shared.telemetry.io_error();
             return;
         }
@@ -491,7 +426,6 @@ fn handle_conn(conn: &mut DeadlineStream, shared: &Shared) {
 /// Shared malformed-frame exit: count, sample, best-effort located
 /// error reply, and the caller kills only this connection.
 fn malformed_fault(conn: &mut DeadlineStream, shared: &Shared, e: &crate::protocol::FrameError) {
-    shared.counters.malformed.inc();
     shared.telemetry.malformed();
     record_fault(shared, true, e.to_string());
     let _ = Reply::Error {

@@ -1,5 +1,6 @@
 //! The live telemetry plane: windowed per-kind series, request-path
-//! phase timings, live gauges, and the slow-query ledger.
+//! phase timings, live gauges, the slow-query ledger, and the lifetime
+//! `serve.*` counters each event also bumps.
 //!
 //! Where [`crate::server::ServeReport`] is a post-mortem — written once
 //! after the process exits — this module is what a *running* server
@@ -93,27 +94,47 @@ struct SlowLedger {
     samples: VecDeque<SlowQuery>,
 }
 
-/// Lifetime counter values the server merges into each snapshot (the
-/// same counters `stats` exposes; the telemetry plane itself only owns
-/// windowed state and gauges).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LifetimeTotals {
+/// The lifetime `serve.*` registry counters: what `stats` merges in,
+/// the snapshot's `totals`, and the post-mortem [`ServeReport`]. They
+/// live in the process-wide obs registry, so every server in a process
+/// adds to the same series.
+///
+/// [`ServeReport`]: crate::ServeReport
+pub(crate) struct Lifetime {
     /// Connections accepted and handed to workers.
-    pub connections: u64,
+    pub(crate) connections: Counter,
     /// Requests answered.
-    pub queries: u64,
+    pub(crate) queries: Counter,
     /// Connections shed with a typed `Busy`.
-    pub busy: u64,
+    pub(crate) busy: Counter,
     /// Connections killed by malformed frames.
-    pub malformed: u64,
+    pub(crate) malformed: Counter,
     /// Connections killed by transport errors.
-    pub io_errors: u64,
+    pub(crate) io_errors: Counter,
+}
+
+impl Lifetime {
+    /// The counters as `(registry name, value)` pairs, sorted by name:
+    /// what a `stats` reply merges in.
+    pub(crate) fn pairs(&self) -> Vec<(String, u64)> {
+        [
+            ("serve.busy", &self.busy),
+            ("serve.connections", &self.connections),
+            ("serve.io_errors", &self.io_errors),
+            ("serve.malformed", &self.malformed),
+            ("serve.queries", &self.queries),
+        ]
+        .into_iter()
+        .map(|(name, c)| (name.to_owned(), c.value()))
+        .collect()
+    }
 }
 
 /// The server's live telemetry state. One per server; cheap handles are
 /// not needed because the server shares it behind its existing `Arc`.
 pub struct Telemetry {
     clock: Clock,
+    pub(crate) lifetime: Lifetime,
     window: WindowConfig,
     /// Connections waiting in the accept queue right now.
     queue_depth: Gauge,
@@ -149,7 +170,15 @@ impl Telemetry {
             .iter()
             .map(|_| WindowedHistogram::new(clock.clone(), window))
             .collect();
+        let reg = droplens_obs::global();
         Telemetry {
+            lifetime: Lifetime {
+                connections: reg.counter("serve.connections"),
+                queries: reg.counter("serve.queries"),
+                busy: reg.counter("serve.busy"),
+                malformed: reg.counter("serve.malformed"),
+                io_errors: reg.counter("serve.io_errors"),
+            },
             queue_depth: Gauge::new(),
             in_flight: Gauge::new(),
             queries: WindowedCounter::new(clock.clone(), window),
@@ -194,6 +223,7 @@ impl Telemetry {
 
     /// A worker started serving a connection.
     pub fn conn_started(&self) {
+        self.lifetime.connections.inc();
         self.in_flight.add(1);
     }
 
@@ -204,17 +234,20 @@ impl Telemetry {
 
     /// A connection was shed with `Busy`.
     pub fn shed(&self) {
+        self.lifetime.busy.inc();
         self.shed.inc();
     }
 
     /// A connection died on a malformed frame.
     pub fn malformed(&self) {
+        self.lifetime.malformed.inc();
         self.malformed.inc();
     }
 
     /// A connection died on a transport error. (Per-kind error series
     /// are bumped by [`Telemetry::request_served`] with `ok=false`.)
     pub fn io_error(&self) {
+        self.lifetime.io_errors.inc();
         self.io_errors.inc();
     }
 
@@ -229,6 +262,7 @@ impl Telemetry {
     ) {
         let i = req.kind_index();
         let series = &self.kinds[i]; // lint: allow(no-panic-in-request-path) — kind_index() < kinds.len() by construction
+        self.lifetime.queries.inc();
         series.total.inc();
         series.queries.inc();
         series.latency.record(timing.total_ns());
@@ -259,12 +293,7 @@ impl Telemetry {
 
     /// Render the full snapshot as one stable `droplens-metrics/1` JSON
     /// document.
-    pub fn snapshot_json(
-        &self,
-        totals: LifetimeTotals,
-        queue_capacity: usize,
-        workers: usize,
-    ) -> String {
+    pub fn snapshot_json(&self, queue_capacity: usize, workers: usize) -> String {
         let mut doc = JsonObject::new();
         doc.field_str("schema", METRICS_SCHEMA)
             .field_u64("uptime_ns", self.clock.now_ns())
@@ -283,13 +312,14 @@ impl Telemetry {
             .field_u64("io_errors", self.io_errors.total());
         doc.field_object("window", window);
 
+        let l = &self.lifetime;
         let mut lifetime = JsonObject::new();
         lifetime
-            .field_u64("connections", totals.connections)
-            .field_u64("queries", totals.queries)
-            .field_u64("busy", totals.busy)
-            .field_u64("malformed", totals.malformed)
-            .field_u64("io_errors", totals.io_errors);
+            .field_u64("connections", l.connections.value())
+            .field_u64("queries", l.queries.value())
+            .field_u64("busy", l.busy.value())
+            .field_u64("malformed", l.malformed.value())
+            .field_u64("io_errors", l.io_errors.value());
         doc.field_object("totals", lifetime);
 
         let kinds = KIND_LABELS
@@ -428,7 +458,7 @@ mod tests {
         }
         t.request_served(&Request::Stats, false, timing(2_000), String::new);
 
-        let doc = parse(&t.snapshot_json(LifetimeTotals::default(), 64, 4)).expect("valid json");
+        let doc = parse(&t.snapshot_json(64, 4)).expect("valid json");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(METRICS_SCHEMA));
         assert_eq!(doc.get("queue_depth").unwrap().as_i64(), Some(0));
         assert_eq!(doc.get("in_flight").unwrap().as_i64(), Some(1));
@@ -467,14 +497,14 @@ mod tests {
         for _ in 0..10 {
             t.request_served(&Request::Ping, true, timing(100), String::new);
         }
-        let doc = parse(&t.snapshot_json(LifetimeTotals::default(), 64, 4)).unwrap();
+        let doc = parse(&t.snapshot_json(64, 4)).unwrap();
         assert_eq!(
             doc.get("window").unwrap().get("queries").unwrap().as_u64(),
             Some(10)
         );
 
         clock.advance(Duration::from_millis(10)); // far past the 4 ms window
-        let doc = parse(&t.snapshot_json(LifetimeTotals::default(), 64, 4)).unwrap();
+        let doc = parse(&t.snapshot_json(64, 4)).unwrap();
         assert_eq!(
             doc.get("window").unwrap().get("queries").unwrap().as_u64(),
             Some(0)
@@ -498,7 +528,7 @@ mod tests {
         for _ in 0..SLOW_SAMPLES_KEPT + 5 {
             t.request_served(&req, true, timing(5_000_000), || request_args(&req));
         }
-        let doc = parse(&t.snapshot_json(LifetimeTotals::default(), 64, 4)).unwrap();
+        let doc = parse(&t.snapshot_json(64, 4)).unwrap();
         let slow = doc.get("slow").unwrap();
         assert_eq!(
             slow.get("seen").unwrap().as_u64(),

@@ -25,7 +25,9 @@
 //! * [`World`] — the generated datasets (typed) plus [`GroundTruth`]
 //!   labels for every listed prefix, so tests can check the analysis
 //!   pipeline against what the generator actually did.
-//! * [`TextArchives`] — the datasets serialized into their wire formats.
+//! * [`Archives`] — the datasets serialized into their wire formats:
+//!   [`TextArchives`] (canonical) or [`BinaryArchives`] (sidecars), laid
+//!   out in an archive tree by [`Layout`].
 
 #![warn(missing_docs)]
 
@@ -39,4 +41,4 @@ pub use alloc::BlockAllocator;
 pub use config::{CategoryMix, WorldConfig};
 pub use sbltext::SblTextGenerator;
 pub use truth::{GroundTruth, HijackKind, ListedTruth, TrueCategory};
-pub use world::{BinaryArchives, TextArchives, World};
+pub use world::{Archives, BinaryArchives, Layout, TextArchives, World};

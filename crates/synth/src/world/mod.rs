@@ -7,6 +7,7 @@ use droplens_drop::{format as dropfmt, DropSnapshot, SblDatabase};
 use droplens_irr::{format as irrbin, journal as irrfmt, JournalEntry};
 use droplens_net::Date;
 use droplens_rir::format::{write_stats_file, write_stats_file_bin, StatsFile};
+use droplens_rir::Rir;
 use droplens_rpki::format::{write_events, write_events_bin, RoaEvent};
 
 use crate::{GroundTruth, WorldConfig};
@@ -99,67 +100,52 @@ impl World {
 
     /// Serialize every dataset into its wire format.
     pub fn to_text_archives(&self) -> TextArchives {
-        // The six archives serialize independently; fan out, collect into
-        // fixed tuple positions (identical output at any worker count).
-        let (bgp_updates, irr_journal, roa_events, rir_snapshots, drop_and_sbl) =
-            droplens_par::join5(
-                || bgpfmt::write_updates(&self.bgp_updates, &self.peers),
-                || irrfmt::write_journal(&self.irr_journal),
-                || write_events(&self.roa_events),
-                || {
-                    droplens_par::par_map(&self.rir_snapshots, |(date, files)| {
-                        (
-                            *date,
-                            files.iter().map(write_stats_file).collect::<Vec<_>>(),
-                        )
-                    })
-                },
-                || {
-                    (
-                        droplens_par::par_map(&self.drop_snapshots, |s| (s.date, s.to_text())),
-                        self.sbl_db.to_text(),
-                    )
-                },
-            );
-        let (drop_snapshots, sbl_records) = drop_and_sbl;
-        TextArchives {
-            bgp_updates,
-            irr_journal,
-            roa_events,
-            rir_snapshots,
-            drop_snapshots,
-            sbl_records,
-        }
+        self.to_archives(&Writers {
+            bgp: bgpfmt::write_updates,
+            irr: irrfmt::write_journal,
+            rpki: write_events,
+            rir: write_stats_file,
+            drop: DropSnapshot::to_text,
+            sbl: SblDatabase::to_text,
+        })
     }
 
     /// Serialize every dataset into its `droplens-bin/1` sidecar form —
     /// the same records as [`World::to_text_archives`], in length-prefixed
     /// little-endian columns.
     pub fn to_binary_archives(&self) -> BinaryArchives {
+        self.to_archives(&Writers {
+            bgp: |updates, _| bgpfmt::write_updates_bin(updates),
+            irr: irrbin::write_journal_bin,
+            rpki: write_events_bin,
+            rir: write_stats_file_bin,
+            drop: dropfmt::write_snapshot_bin,
+            sbl: dropfmt::write_sbl_bin,
+        })
+    }
+
+    fn to_archives<B: Send>(&self, w: &Writers<B>) -> Archives<B> {
+        // The six archives serialize independently; fan out, collect into
+        // fixed tuple positions (identical output at any worker count).
         let (bgp_updates, irr_journal, roa_events, rir_snapshots, drop_and_sbl) =
             droplens_par::join5(
-                || bgpfmt::write_updates_bin(&self.bgp_updates),
-                || irrbin::write_journal_bin(&self.irr_journal),
-                || write_events_bin(&self.roa_events),
+                || (w.bgp)(&self.bgp_updates, &self.peers),
+                || (w.irr)(&self.irr_journal),
+                || (w.rpki)(&self.roa_events),
                 || {
                     droplens_par::par_map(&self.rir_snapshots, |(date, files)| {
-                        (
-                            *date,
-                            files.iter().map(write_stats_file_bin).collect::<Vec<_>>(),
-                        )
+                        (*date, files.iter().map(w.rir).collect::<Vec<_>>())
                     })
                 },
                 || {
                     (
-                        droplens_par::par_map(&self.drop_snapshots, |s| {
-                            (s.date, dropfmt::write_snapshot_bin(s))
-                        }),
-                        dropfmt::write_sbl_bin(&self.sbl_db),
+                        droplens_par::par_map(&self.drop_snapshots, |s| (s.date, (w.drop)(s))),
+                        (w.sbl)(&self.sbl_db),
                     )
                 },
             );
         let (drop_snapshots, sbl_records) = drop_and_sbl;
-        BinaryArchives {
+        Archives {
             bgp_updates,
             irr_journal,
             roa_events,
@@ -170,38 +156,109 @@ impl World {
     }
 }
 
-/// The datasets as archive text, exactly as a scraper would have fetched
-/// them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TextArchives {
-    /// `bgpdump -m`-style update lines.
-    pub bgp_updates: String,
-    /// NRTM-style IRR journal.
-    pub irr_journal: String,
-    /// ROA CSV journal.
-    pub roa_events: String,
-    /// Per-date delegated-extended files (one string per RIR).
-    pub rir_snapshots: Vec<(Date, Vec<String>)>,
-    /// Per-date DROP list files.
-    pub drop_snapshots: Vec<(Date, String)>,
-    /// SBL record blocks.
-    pub sbl_records: String,
+/// One representation's serializers, dataset by dataset: all that
+/// [`World::to_text_archives`] and [`World::to_binary_archives`] differ by.
+struct Writers<B> {
+    bgp: fn(&[BgpUpdate], &[Peer]) -> B,
+    irr: fn(&[JournalEntry]) -> B,
+    rpki: fn(&[RoaEvent]) -> B,
+    rir: fn(&StatsFile) -> B,
+    drop: fn(&DropSnapshot) -> B,
+    sbl: fn(&SblDatabase) -> B,
 }
+
+/// The six datasets serialized into one representation, as a scraper
+/// would have fetched them: `B = String` for the canonical text
+/// ([`TextArchives`]), `B = Vec<u8>` for the `droplens-bin/1` sidecars
+/// ([`BinaryArchives`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Archives<B> {
+    /// BGP update stream (`bgpdump -m`-style lines / `bgp/updates` columns).
+    pub bgp_updates: B,
+    /// IRR journal (NRTM-style / `irr/journal` columns).
+    pub irr_journal: B,
+    /// ROA event journal (CSV / `rpki/roas` columns).
+    pub roa_events: B,
+    /// Per-date delegated-extended files (one payload per RIR, in
+    /// [`Rir::ALL`] order).
+    pub rir_snapshots: Vec<(Date, Vec<B>)>,
+    /// Per-date DROP list files.
+    pub drop_snapshots: Vec<(Date, B)>,
+    /// SBL record blocks (text / `sbl/records` columns).
+    pub sbl_records: B,
+}
+
+/// The datasets as archive text — the canonical representation.
+pub type TextArchives = Archives<String>;
 
 /// The datasets as `droplens-bin/1` sidecar payloads — the binary fast
 /// path mirroring [`TextArchives`] field for field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinaryArchives {
-    /// Columnar update stream (`bgp/updates`).
-    pub bgp_updates: Vec<u8>,
-    /// Columnar IRR journal (`irr/journal`).
-    pub irr_journal: Vec<u8>,
-    /// Columnar ROA journal (`rpki/roas`).
-    pub roa_events: Vec<u8>,
-    /// Per-date delegated-stats sidecars (one payload per RIR).
-    pub rir_snapshots: Vec<(Date, Vec<Vec<u8>>)>,
-    /// Per-date DROP snapshot sidecars.
-    pub drop_snapshots: Vec<(Date, Vec<u8>)>,
-    /// SBL database sidecar (`sbl/records`).
-    pub sbl_records: Vec<u8>,
+pub type BinaryArchives = Archives<Vec<u8>>;
+
+/// Where one representation keeps each dataset in an archive tree,
+/// relative to the tree's root. The on-disk layout and the quarantine
+/// labels both read these paths, so a label always names the file the
+/// record came from. A sidecar sits next to its text twin with the
+/// extension `bin`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    ext: &'static str,
+    roa_ext: &'static str,
+}
+
+impl Layout {
+    /// The canonical text archives (`.txt`, the ROA journal `.csv`).
+    pub const TEXT: Layout = Layout {
+        ext: "txt",
+        roa_ext: "csv",
+    };
+    /// The `droplens-bin/1` sidecars (`.bin`).
+    pub const BINARY: Layout = Layout {
+        ext: "bin",
+        roa_ext: "bin",
+    };
+
+    /// The extension of the per-date RIR and DROP files.
+    pub fn ext(&self) -> &'static str {
+        self.ext
+    }
+
+    /// `bgp/updates.<ext>`.
+    pub fn bgp_updates(&self) -> String {
+        format!("bgp/updates.{}", self.ext)
+    }
+
+    /// `irr/journal.<ext>`.
+    pub fn irr_journal(&self) -> String {
+        format!("irr/journal.{}", self.ext)
+    }
+
+    /// `rpki/roas.csv` or `rpki/roas.bin`.
+    pub fn roa_events(&self) -> String {
+        format!("rpki/roas.{}", self.roa_ext)
+    }
+
+    /// `rir/<YYYYMMDD>/delegated-<rir>-extended.<ext>` for the
+    /// `index`-th file of a snapshot ([`Rir::ALL`] order).
+    pub fn rir_file(&self, date: Date, index: usize) -> String {
+        match Rir::ALL.get(index) {
+            Some(r) => format!(
+                "rir/{}/delegated-{}-extended.{}",
+                date.compact(),
+                r.token(),
+                self.ext
+            ),
+            None => format!("rir/{}/file{}", date.compact(), index),
+        }
+    }
+
+    /// `drop/<YYYY-MM-DD>.<ext>`.
+    pub fn drop_snapshot(&self, date: Date) -> String {
+        format!("drop/{date}.{}", self.ext)
+    }
+
+    /// `sbl/records.<ext>`.
+    pub fn sbl_records(&self) -> String {
+        format!("sbl/records.{}", self.ext)
+    }
 }
