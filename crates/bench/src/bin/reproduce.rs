@@ -46,8 +46,8 @@
 //! `--mem` prints the allocation summary (bytes/ops allocated and
 //! freed, peak, peak RSS) to stderr; `--mem=PATH` instead folds the
 //! `mem.*` gauges into the run report and writes it as JSON to PATH —
-//! the file `droplens mem diff` compares and CI's mem-gate commits as
-//! `BENCH_<date>_mem.json`. The binary carries the tracking allocator
+//! the file `droplens mem diff` compares and CI's reproduce job gates
+//! (`BENCH_<date>_mem.json`). The binary carries the tracking allocator
 //! unconditionally (a few relaxed atomics per allocation); the flags
 //! only control reporting, and stdout stays byte-identical either way.
 

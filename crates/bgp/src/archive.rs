@@ -92,7 +92,7 @@ impl PrefixRecord {
             .values()
             .flatten()
             .map(|iv| (iv.start, iv.end))
-            .collect(); // lint: allow(no-unbounded-collect) — one prefix record: bounded by peers × lane intervals
+            .collect();
         spans.sort_by_key(|&(s, _)| s);
         let mut merged: Vec<(Date, Option<Date>)> = Vec::with_capacity(spans.len().min(8));
         for (s, e) in spans {
@@ -174,7 +174,7 @@ impl BgpArchive {
         }
         // Finalize the daily-visibility index: records are independent, so
         // the union-merge pass fans out across workers.
-        let mut values: Vec<&mut PrefixRecord> = records.values_mut().collect(); // lint: allow(no-unbounded-collect) — one &mut per record, needed to fan out par_for_each_mut
+        let mut values: Vec<&mut PrefixRecord> = records.values_mut().collect();
         droplens_par::par_for_each_mut(&mut values, |r| r.build_visibility());
         BgpArchive {
             peers,
@@ -208,7 +208,7 @@ impl BgpArchive {
     /// records as damaged — rather than running it unconditionally.
     pub fn repair_zombie_routes(&mut self) -> usize {
         let mut repaired = 0;
-        let mut values: Vec<&mut PrefixRecord> = self.records.values_mut().collect(); // lint: allow(no-unbounded-collect) — one &mut per record for the in-place repair sweep
+        let mut values: Vec<&mut PrefixRecord> = self.records.values_mut().collect();
         for record in values.iter_mut() {
             let mut open_peers: Vec<PeerId> = Vec::new();
             let mut latest_close: Option<Date> = None;
@@ -428,7 +428,7 @@ impl BgpArchive {
             .keys()
             .filter_map(|&peer| self.path_at(prefix, peer, date))
             .map(|p| p.origin())
-            .collect() // lint: allow(no-unbounded-collect) — bounded by the collector peer count
+            .collect()
     }
 
     /// Every origin ASN ever reported for `prefix` before `date`, with the
@@ -474,7 +474,7 @@ impl BgpArchive {
         range
             .iter()
             .map(|d| (d, self.visibility(prefix, d)))
-            .collect() // lint: allow(no-unbounded-collect) — one point per day of the requested range
+            .collect()
     }
 
     /// Archived prefixes equal to or more specific than `covering`.
@@ -483,12 +483,11 @@ impl BgpArchive {
             .covered_by(covering)
             .into_iter()
             .map(|(p, _)| p)
-            .collect() // lint: allow(no-unbounded-collect) — the covered set is the return value itself
+            .collect()
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

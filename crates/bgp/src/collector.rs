@@ -207,7 +207,6 @@ impl CollectorSim {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use crate::BgpArchive;

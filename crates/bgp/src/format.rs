@@ -400,7 +400,6 @@ pub fn parse_updates_bin_with(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

@@ -201,7 +201,6 @@ pub fn unrouted_gap_before(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use crate::{BgpUpdate, Peer};

@@ -131,7 +131,6 @@ impl PeerRibs {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use droplens_net::Date;

@@ -218,7 +218,6 @@ pub fn detect_filtering_peers(observations: &[PeerObservation], threshold: f64) 
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use droplens_net::Asn;

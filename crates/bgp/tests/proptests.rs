@@ -2,7 +2,6 @@
 //! replay model on every query, and the collector simulation must honor
 //! its contracts.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_bgp::{
     format as bgpfmt, AsPath, BgpArchive, BgpEvent, BgpUpdate, CollectorSim, Origination, Peer,
     PeerId,

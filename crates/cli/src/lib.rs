@@ -90,8 +90,7 @@ USAGE:
     droplens validate --roas FILE --date YYYY-MM-DD [--all-tals] PREFIX ASN
     droplens perf diff BASE HEAD [--gate PCT] [--floor-ms MS]
     droplens mem diff BASE HEAD [--gate PCT] [--floor-bytes N]
-    droplens lint [--format text|json|sarif] [--baseline FILE]
-                  [--write-baseline FILE] [--changed [REF]] [PATHS...]
+    droplens lint [--format text|json] [PATHS...]
     droplens serve --dir DIR [SERVE FLAGS] [INGEST FLAGS]
     droplens query --addr HOST:PORT [--timeout-ms N] KIND [ARGS...]
     droplens top --addr HOST:PORT [--interval-ms N] [--count N]
@@ -128,21 +127,15 @@ MEM (compare memory reports, gate regressions):
 LINT (check the workspace's own invariants; DESIGN.md §9 and §14):
     PATHS are files or directories to scan (default: the current
     directory; `target/`, `vendor/`, and fixture corpora are skipped,
-    explicitly named files are always linted). Token rules: no-unwrap,
+    explicitly named files are always linted). Panic-freedom is
+    clippy's (`cargo clippy`, workspace lint table). Token rules:
     ordered-output, no-wallclock, seeded-rng-only, located-errors,
-    no-unbounded-collect, no-string-keyed-hot-map, no-deadline-free-io,
-    lock-across-io. Workspace rules (call-graph-driven, run when whole
-    directories are linted): no-panic-in-request-path, wallclock-taint.
+    no-string-keyed-hot-map, no-deadline-free-io, lock-across-io.
+    Workspace rules (call-graph-driven, over the whole file set):
+    no-panic-in-request-path (indexing), wallclock-taint.
     Suppress one finding with a trailing `// lint: allow(<rule>)`.
-    --format text|json|sarif  diagnostic rendering (default text);
-                              exits nonzero when violations survive
-    --baseline FILE         subtract a known-findings snapshot; only
-                            findings not in FILE fail the run
-    --write-baseline FILE   snapshot current findings into FILE and
-                            exit 0 (use to adopt the linter gradually)
-    --changed [REF]         lint only files reported changed by
-                            `git diff --name-only REF` (default HEAD);
-                            falls back to a full scan outside a repo
+    --format text|json  diagnostic rendering (default text); exits
+                        nonzero when violations survive
 
 SERVE (long-lived query service over the indexed study; DESIGN.md §12):
     --addr HOST:PORT    bind address (default 127.0.0.1:0; the bound

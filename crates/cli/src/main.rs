@@ -219,39 +219,22 @@ fn run(args: &[String]) -> Result<String, CliError> {
             commands::validate(&roas, date, prefix, asn, all_tals)
         }
         Some("lint") => {
-            let mut opts = commands::LintOptions::default();
+            let mut format = commands::LintFormat::Text;
             let mut paths: Vec<PathBuf> = Vec::new();
             let rest: Vec<&str> = it.collect();
             let mut i = 0;
             while i < rest.len() {
                 match rest[i] {
                     "--format" => {
-                        opts.format = match value(&rest, &mut i)? {
+                        format = match value(&rest, &mut i)? {
                             "text" => commands::LintFormat::Text,
                             "json" => commands::LintFormat::Json,
-                            "sarif" => commands::LintFormat::Sarif,
                             other => {
                                 return Err(CliError::Usage(format!(
-                                    "--format wants text|json|sarif, got {other:?}"
+                                    "--format wants text|json, got {other:?}"
                                 )))
                             }
                         };
-                    }
-                    "--baseline" => opts.baseline = Some(PathBuf::from(value(&rest, &mut i)?)),
-                    "--write-baseline" => {
-                        opts.write_baseline = Some(PathBuf::from(value(&rest, &mut i)?));
-                    }
-                    "--changed" => {
-                        // An optional REF rides along when the next token
-                        // is not a flag: `--changed origin/main`.
-                        let reff = match rest.get(i + 1) {
-                            Some(next) if !next.starts_with("--") => {
-                                i += 1;
-                                (*next).to_owned()
-                            }
-                            _ => "HEAD".to_owned(),
-                        };
-                        opts.changed = Some(reff);
                     }
                     flag if flag.starts_with("--") => {
                         return Err(CliError::Usage(format!("unknown flag {flag:?}")))
@@ -260,7 +243,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 }
                 i += 1;
             }
-            commands::lint(&paths, &opts)
+            commands::lint(&paths, format)
         }
         Some("perf") => {
             let Some("diff") = it.next() else {

@@ -313,7 +313,6 @@ fn mem_metrics(r: &RunReport) -> BTreeMap<String, u64> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use droplens_obs::SpanStat;

@@ -279,7 +279,6 @@ fn render_check(spec: &SloSpec, rows: &[KindRow], gate: bool) -> Result<String, 
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

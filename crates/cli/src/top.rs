@@ -250,7 +250,6 @@ pub fn run(opts: &TopOptions) -> Result<String, CliError> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

@@ -1,7 +1,6 @@
 //! CLI integration: generate an archive tree on disk, read it back, and
 //! verify the analyses agree with the in-memory pipeline.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use std::path::PathBuf;
 
 use droplens_cli::commands::{ArchiveFormat, IngestOptions};
@@ -214,14 +213,8 @@ fn validate_command_on_written_archive() {
 
 #[test]
 fn lint_command_reports_and_gates() {
-    use droplens_cli::commands::{LintFormat, LintOptions};
+    use droplens_cli::commands::LintFormat;
     use droplens_cli::CliError;
-
-    let text = LintOptions::default();
-    let json = LintOptions {
-        format: LintFormat::Json,
-        ..LintOptions::default()
-    };
 
     let dir = temp_dir("lint");
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -232,31 +225,34 @@ fn lint_command_reports_and_gates() {
         "pub fn parse(s: &str) -> Option<u32> { s.parse().ok() }\n",
     )
     .expect("write clean");
-    let out = commands::lint(std::slice::from_ref(&dir), &text).expect("clean lint");
+    let out = commands::lint(std::slice::from_ref(&dir), LintFormat::Text).expect("clean lint");
     assert!(out.contains("0 violations"), "{out}");
 
     // Add a violating file: the command must fail, carrying the report.
     std::fs::write(
         dir.join("archive.rs"),
-        "pub fn load(s: &str) -> u32 { s.parse().unwrap() }\n",
+        "pub fn load(m: &BTreeMap<String, u32>) -> usize { m.len() }\n",
     )
     .expect("write bad");
-    match commands::lint(std::slice::from_ref(&dir), &text) {
+    match commands::lint(std::slice::from_ref(&dir), LintFormat::Text) {
         Err(CliError::Lint(report)) => {
-            assert!(report.contains("[no-unwrap]"), "{report}");
+            assert!(report.contains("[no-string-keyed-hot-map]"), "{report}");
             assert!(report.contains("archive.rs:1:"), "{report}");
         }
         other => panic!("expected lint failure, got {other:?}"),
     }
 
     // JSON rendering carries the same findings machine-readably.
-    match commands::lint(std::slice::from_ref(&dir), &json) {
+    match commands::lint(std::slice::from_ref(&dir), LintFormat::Json) {
         Err(CliError::Lint(json)) => {
             assert!(
-                json.starts_with("{\"schema\":\"droplens-lint/2\""),
+                json.starts_with("{\"schema\":\"droplens-lint/3\""),
                 "{json}"
             );
-            assert!(json.contains("\"rule\":\"no-unwrap\""), "{json}");
+            assert!(
+                json.contains("\"rule\":\"no-string-keyed-hot-map\""),
+                "{json}"
+            );
             assert!(json.contains("\"violations\":1"), "{json}");
         }
         other => panic!("expected lint failure, got {other:?}"),
@@ -265,10 +261,10 @@ fn lint_command_reports_and_gates() {
     // An escape suppresses the finding and the command passes again.
     std::fs::write(
         dir.join("archive.rs"),
-        "pub fn load(s: &str) -> u32 { s.parse().unwrap() } // lint: allow(no-unwrap)\n",
+        "pub fn load(m: &BTreeMap<String, u32>) -> usize { m.len() } // lint: allow(no-string-keyed-hot-map)\n",
     )
     .expect("write escaped");
-    let out = commands::lint(std::slice::from_ref(&dir), &text).expect("escaped lint");
+    let out = commands::lint(std::slice::from_ref(&dir), LintFormat::Text).expect("escaped lint");
     assert!(out.contains("0 violations (1 suppressed)"), "{out}");
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -275,7 +275,6 @@ impl fmt::Display for Fig4 {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use crate::experiments::testutil;

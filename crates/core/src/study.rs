@@ -426,9 +426,13 @@ impl Study {
             .sources
             .get("bgp")
             .is_some_and(|s| s.quarantine.quarantined > 0);
-        let index_span = droplens_obs::trace::global().span("index", "stage");
+        // One child span per structure, so the run report accounts for
+        // the index stage row by row (`index/bgp`, ..., `index/drop`).
+        let tracer = droplens_obs::trace::global();
+        let index_span = tracer.span("index", "stage");
         let (bgp, irr, roa, rir, drop) = droplens_par::join5(
             || {
+                let _span = tracer.span("bgp", "index");
                 let mut bgp = BgpArchive::from_updates(peers.clone(), &updates);
                 // A quarantined withdraw leaves its peer's route open
                 // forever; close those zombie lanes by sibling consensus.
@@ -442,16 +446,26 @@ impl Study {
                 }
                 bgp
             },
-            || IrrRegistry::from_journal(&irr_journal),
-            || RoaArchive::from_events(&roa_events),
             || {
+                let _span = tracer.span("irr", "index");
+                IrrRegistry::from_journal(&irr_journal)
+            },
+            || {
+                let _span = tracer.span("rpki", "index");
+                RoaArchive::from_events(&roa_events)
+            },
+            || {
+                let _span = tracer.span("rir", "index");
                 let mut rir = RirStatsArchive::new();
                 for (date, files) in &rir_files {
                     rir.try_add_snapshot(*date, files)?;
                 }
                 Ok::<_, ParseError>(rir)
             },
-            || DropTimeline::try_from_snapshots(&snapshots),
+            || {
+                let _span = tracer.span("drop", "index");
+                DropTimeline::try_from_snapshots(&snapshots)
+            },
         );
         let (rir, drop) = (rir?, drop?);
         index_span.finish();
@@ -611,7 +625,6 @@ fn mark_afrinic_incidents(entries: &mut [StudyEntry]) {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use droplens_synth::WorldConfig;

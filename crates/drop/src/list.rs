@@ -242,12 +242,10 @@ impl DropTimeline {
     /// series this is a no-op.
     ///
     /// Panics if snapshots are out of order.
+    #[allow(clippy::panic)] // generated snapshot series are chronological; ingestion calls try_from_snapshots
     pub fn from_snapshots(snapshots: &[DropSnapshot]) -> DropTimeline {
         match Self::try_from_snapshots(snapshots) {
             Ok(timeline) => timeline,
-            // Documented invariant of this infallible wrapper; ingestion
-            // paths go through `try_from_snapshots` instead.
-            // lint: allow(no-unwrap)
             Err(e) => panic!("snapshots must be chronological: {e}"),
         }
     }
@@ -361,7 +359,6 @@ impl DropTimeline {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

@@ -268,7 +268,6 @@ impl SblDatabase {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

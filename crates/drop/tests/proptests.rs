@@ -2,7 +2,6 @@
 //! listing schedule that produced the snapshots, and the text format must
 //! round-trip arbitrary snapshots.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use std::collections::BTreeMap;
 
 use droplens_drop::{DropSnapshot, DropTimeline, SblId};

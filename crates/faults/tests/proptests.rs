@@ -2,7 +2,6 @@
 //! function of `(seed, rate, classes, input)` — the determinism the
 //! chaos suite's byte-compare assertions stand on.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_faults::{CorruptionClass, CorruptionLog, Corruptor};
 use proptest::prelude::*;
 

@@ -38,7 +38,7 @@ pub fn write_journal_bin(entries: &[JournalEntry]) -> Vec<u8> {
             .extra
             .iter()
             .map(|(k, v)| (strs.add(k), strs.add(v)))
-            .collect(); // lint: allow(no-unbounded-collect) — a handful of extra attributes per object
+            .collect();
         ids.push((descr, maintainer, org, source, extra));
     }
     strs.write(&mut w);
@@ -199,7 +199,6 @@ pub fn parse_journal_bin_with(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use crate::{parse_journal, write_journal};

@@ -167,7 +167,6 @@ pub fn parse_journal_with(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use droplens_net::{Asn, Ipv4Prefix};

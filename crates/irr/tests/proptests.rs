@@ -1,7 +1,6 @@
 //! Property-based tests: RPSL and journal round-trips, and registry
 //! replay against a naive interval model.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_irr::{journal, IrrRegistry, JournalEntry, JournalOp, RouteObject};
 use droplens_net::{Asn, Date, Ipv4Prefix};
 use proptest::prelude::*;

@@ -25,7 +25,7 @@ pub(crate) struct WorkFile {
     pub index: FileIndex,
     /// `(line, rule)` pairs allowed by `// lint: allow(...)` escapes.
     pub escapes: BTreeSet<(u32, Rule)>,
-    /// Path-derived roles (entry file, lexical no-unwrap, ordered sink).
+    /// Path-derived roles (entry file, ordered sink, clock owner).
     pub role: GraphRole,
 }
 
@@ -111,16 +111,17 @@ impl<'a> Graph<'a> {
     }
 }
 
+/// How a finding names its panic source.
+const INDEXING: &str = "indexing/slicing (`[...]`)";
+
 /// `no-panic-in-request-path`: BFS over resolved edges from every
-/// `pub` function in an entry file (`server`/`engine` stems); each panic
-/// source in a reachable function is one finding, with the full call
-/// chain from the entry rendered in the message. An edge whose call
-/// line carries `// lint: allow(no-panic-in-request-path)` is not
-/// traversed; a panic line carrying the escape is counted suppressed.
-///
-/// Panic kinds `no-unwrap` already bans lexically are skipped in files
-/// under `no-unwrap` scope — there the graph rule only adds
-/// indexing/slicing, everywhere else it reports all four kinds.
+/// `pub` function in an entry file (`server`/`engine` stems); each
+/// indexing/slicing site in a reachable function is one finding, with
+/// the full call chain from the entry rendered in the message. An edge
+/// whose call line carries `// lint: allow(no-panic-in-request-path)`
+/// is not traversed; an indexing line carrying the escape is counted
+/// suppressed. The other panic sources (`unwrap`, `expect`, `panic!`,
+/// ...) are denied workspace-wide by clippy.
 pub(crate) fn no_panic_in_request_path(
     graph: &Graph<'_>,
     diags: &mut Vec<Diagnostic>,
@@ -178,23 +179,16 @@ pub(crate) fn no_panic_in_request_path(
     for (&node, path) in &chain {
         let wf = &graph.files[node.0];
         let func = graph.node(node);
-        for site in &func.panics {
-            if site.kind.lexically_banned() && wf.role.lexical_nounwrap {
-                continue; // no-unwrap already polices this file
-            }
-            if wf
-                .escapes
-                .contains(&(site.line, Rule::NoPanicInRequestPath))
-            {
+        for &line in &func.index_lines {
+            if wf.escapes.contains(&(line, Rule::NoPanicInRequestPath)) {
                 *suppressed += 1;
                 continue;
             }
             let entry_name = graph.node(path[0]).display_name();
             let message = if path.len() == 1 {
                 format!(
-                    "{} in request entry `{entry_name}` — the serve path must not panic \
-                     (return an error or use a checked accessor)",
-                    site.kind.describe(),
+                    "{INDEXING} in request entry `{entry_name}` — the serve path must not panic \
+                     (return an error or use a checked accessor)"
                 )
             } else {
                 let rendered: Vec<String> = path
@@ -202,15 +196,14 @@ pub(crate) fn no_panic_in_request_path(
                     .map(|&n| format!("`{}`", graph.node(n).display_name()))
                     .collect();
                 format!(
-                    "{} reachable from request entry `{entry_name}` via {} — the serve path \
-                     must not panic (return an error or use a checked accessor)",
-                    site.kind.describe(),
+                    "{INDEXING} reachable from request entry `{entry_name}` via {} — the serve \
+                     path must not panic (return an error or use a checked accessor)",
                     rendered.join(" \u{2192} "),
                 )
             };
             diags.push(Diagnostic {
                 path: wf.label.clone(),
-                line: site.line,
+                line,
                 rule: Rule::NoPanicInRequestPath,
                 message,
             });
@@ -219,7 +212,6 @@ pub(crate) fn no_panic_in_request_path(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use crate::parse::parse_file;

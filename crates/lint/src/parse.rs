@@ -4,7 +4,7 @@
 //! reaches it*. This module adds exactly the structure the reachability
 //! rules need and nothing more: `fn`/`impl`/`mod`/`use` items with
 //! spans, and for every function an owned summary — parameters, call
-//! sites with argument counts, panic sources, wallclock reads — that
+//! sites with argument counts, indexing sites, wallclock reads — that
 //! the workspace passes ([`crate::graph`]) join across files.
 //!
 //! Like the lexer underneath it, the parser is **total**: it never
@@ -104,46 +104,6 @@ pub struct CallSite {
     pub line: u32,
 }
 
-/// The panic-source kinds `no-panic-in-request-path` looks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `.unwrap()`.
-    Unwrap,
-    /// `.expect(...)`.
-    Expect,
-    /// `panic!`, `todo!`, `unimplemented!`.
-    PanicMacro,
-    /// `x[...]` indexing or slicing (both panic out of bounds).
-    Index,
-}
-
-impl PanicKind {
-    /// How the diagnostic names this source.
-    pub fn describe(self) -> &'static str {
-        match self {
-            PanicKind::Unwrap => "`.unwrap()`",
-            PanicKind::Expect => "`.expect()`",
-            PanicKind::PanicMacro => "a panicking macro",
-            PanicKind::Index => "indexing/slicing (`[...]`)",
-        }
-    }
-
-    /// Whether `no-unwrap` already bans this source lexically (so the
-    /// reachability rule only adds value outside `no-unwrap`'s scope).
-    pub fn lexically_banned(self) -> bool {
-        !matches!(self, PanicKind::Index)
-    }
-}
-
-/// A potential panic inside a function body.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// Which source.
-    pub kind: PanicKind,
-    /// 1-based source line.
-    pub line: u32,
-}
-
 /// One function, flattened out of the item tree with everything the
 /// workspace passes need. Owned — no borrows into the source text — so
 /// per-file parsing runs on `crates/par` workers and the summaries
@@ -157,8 +117,10 @@ pub struct FnNode {
     /// Call sites in the body, in source order, attributed to the
     /// innermost enclosing function.
     pub calls: Vec<CallSite>,
-    /// Panic sources in the body, in source order.
-    pub panics: Vec<PanicSite>,
+    /// Lines of indexing/slicing expressions (`x[...]`, both panic out
+    /// of bounds), in source order. The other panic sources are
+    /// clippy's to deny.
+    pub index_lines: Vec<u32>,
     /// Lines of direct `Instant::now`/`SystemTime::now` reads.
     pub clock_lines: Vec<u32>,
 }
@@ -214,12 +176,12 @@ pub(crate) fn parse_file(path: &str, view: &FileView<'_>) -> FileIndex {
             sig: b.sig.clone(),
             line: b.line,
             calls: Vec::new(),
-            panics: Vec::new(),
+            index_lines: Vec::new(),
             clock_lines: Vec::new(),
         })
         .collect();
 
-    // Attribute calls, panic sources, and clock reads to the innermost
+    // Attribute calls, indexing, and clock reads to the innermost
     // enclosing function body (the located-errors ownership model).
     let bodies: Vec<(usize, usize)> = parser.bodies.iter().map(|b| b.body).collect();
     let owner = |p: usize| -> Option<usize> {
@@ -238,22 +200,6 @@ pub(crate) fn parse_file(path: &str, view: &FileView<'_>) -> FileIndex {
         let text = view.text(p);
         let prev = if p > 0 { view.text(p - 1) } else { "" };
         match text {
-            "unwrap" | "expect" if prev == "." && view.text(p + 1) == "(" => {
-                fns[k].panics.push(PanicSite {
-                    kind: if text == "unwrap" {
-                        PanicKind::Unwrap
-                    } else {
-                        PanicKind::Expect
-                    },
-                    line: view.line(p),
-                });
-            }
-            "panic" | "todo" | "unimplemented" if view.text(p + 1) == "!" => {
-                fns[k].panics.push(PanicSite {
-                    kind: PanicKind::PanicMacro,
-                    line: view.line(p),
-                });
-            }
             "[" => {
                 // Indexing: `[` directly after an expression — an
                 // identifier (that is not a keyword), `)`, or `]`.
@@ -264,10 +210,7 @@ pub(crate) fn parse_file(path: &str, view: &FileView<'_>) -> FileIndex {
                     || prev == ")"
                     || prev == "]";
                 if p > 0 && indexes {
-                    fns[k].panics.push(PanicSite {
-                        kind: PanicKind::Index,
-                        line: view.line(p),
-                    });
+                    fns[k].index_lines.push(view.line(p));
                 }
             }
             "Instant" | "SystemTime" if view.matches(p + 1, &[":", ":", "now"]) => {
@@ -652,7 +595,6 @@ impl Parser<'_, '_> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 
@@ -723,16 +665,10 @@ mod tests {
              if v.is_empty() { panic!(\"empty\") }\n\
              a + b + c\n}\n",
         );
-        let kinds: Vec<PanicKind> = idx.fns[0].panics.iter().map(|p| p.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                PanicKind::Index,
-                PanicKind::Unwrap,
-                PanicKind::Expect,
-                PanicKind::PanicMacro
-            ]
-        );
+        // Only indexing is recorded: unwrap/expect/panic! are denied by
+        // the workspace clippy table, so the request-path rule leaves
+        // them to clippy.
+        assert_eq!(idx.fns[0].index_lines, vec![2]);
     }
 
     #[test]
@@ -745,7 +681,11 @@ mod tests {
              let _ = (x, y);\n\
              v\n}\n",
         );
-        assert!(idx.fns[0].panics.is_empty(), "{:?}", idx.fns[0].panics);
+        assert!(
+            idx.fns[0].index_lines.is_empty(),
+            "{:?}",
+            idx.fns[0].index_lines
+        );
     }
 
     #[test]

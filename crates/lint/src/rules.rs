@@ -158,12 +158,10 @@ impl<'a> FileView<'a> {
 /// Run `rule` over the file, appending hits.
 pub(crate) fn check(rule: Rule, view: &FileView<'_>, hits: &mut Vec<Hit>) {
     match rule {
-        Rule::NoUnwrap => no_unwrap(view, hits),
         Rule::OrderedOutput => ordered_output(view, hits),
         Rule::NoWallclock => no_wallclock(view, hits),
         Rule::SeededRngOnly => seeded_rng_only(view, hits),
         Rule::LocatedErrors => located_errors(view, hits),
-        Rule::NoUnboundedCollect => no_unbounded_collect(view, hits),
         Rule::NoStringKeyedHotMap => no_string_keyed_hot_map(view, hits),
         Rule::NoDeadlineFreeIo => no_deadline_free_io(view, hits),
         Rule::LockAcrossIo => lock_across_io(view, hits),
@@ -172,40 +170,6 @@ pub(crate) fn check(rule: Rule, view: &FileView<'_>, hits: &mut Vec<Hit>) {
         Rule::NoPanicInRequestPath | Rule::WallclockTaint => {}
         // Emitted during escape parsing, never scanned for.
         Rule::BadEscape => {}
-    }
-}
-
-/// `no-unwrap`: `.unwrap()`, `.expect(...)`, `panic!`, `todo!`,
-/// `unimplemented!` are banned in format/archive/ingest modules —
-/// parsers must return located errors, not crash the pipeline.
-fn no_unwrap(view: &FileView<'_>, hits: &mut Vec<Hit>) {
-    for i in 0..view.len() {
-        if view.is_test_code(i) || view.kind(i) != Some(TokenKind::Ident) {
-            continue;
-        }
-        match view.text(i) {
-            m @ ("unwrap" | "expect")
-                if i > 0 && view.text(i - 1) == "." && view.text(i + 1) == "(" =>
-            {
-                hits.push(Hit {
-                    line: view.line(i),
-                    rule: Rule::NoUnwrap,
-                    message: format!(
-                        "`.{m}()` in a format/archive/ingest module — return a located error instead"
-                    ),
-                });
-            }
-            m @ ("panic" | "todo" | "unimplemented") if view.text(i + 1) == "!" => {
-                hits.push(Hit {
-                    line: view.line(i),
-                    rule: Rule::NoUnwrap,
-                    message: format!(
-                        "`{m}!` in a format/archive/ingest module — return a located error instead"
-                    ),
-                });
-            }
-            _ => {}
-        }
     }
 }
 
@@ -279,35 +243,6 @@ fn seeded_rng_only(view: &FileView<'_>, hits: &mut Vec<Hit>) {
                 rule: Rule::SeededRngOnly,
                 message: "`rand::random` draws from the thread RNG — derive every RNG from an \
                           explicit seed"
-                    .to_owned(),
-            });
-        }
-    }
-}
-
-/// `no-unbounded-collect`: `.collect` (plain or turbofish) on a
-/// format/archive hot path materializes an intermediate collection
-/// whose size scales with the input. The size-of tests pin per-record
-/// costs; this rule makes whole-archive materialization a conscious
-/// decision — every legitimate site carries a
-/// `// lint: allow(no-unbounded-collect)` escape saying why the bound
-/// is acceptable.
-fn no_unbounded_collect(view: &FileView<'_>, hits: &mut Vec<Hit>) {
-    for i in 0..view.len() {
-        if view.is_test_code(i) || view.kind(i) != Some(TokenKind::Ident) {
-            continue;
-        }
-        if view.text(i) == "collect"
-            && i > 0
-            && view.text(i - 1) == "."
-            && (view.text(i + 1) == "(" || view.matches(i + 1, &[":", ":"]))
-        {
-            hits.push(Hit {
-                line: view.line(i),
-                rule: Rule::NoUnboundedCollect,
-                message: "`.collect` on a format/archive hot path materializes an input-sized \
-                          collection — stream instead, or escape with a comment saying why the \
-                          size is bounded"
                     .to_owned(),
             });
         }

@@ -127,7 +127,6 @@ pub(crate) fn wallclock_taint(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use crate::graph::WorkFile;

@@ -55,8 +55,8 @@ fn parses_totally(src: &str) -> Result<(), TestCaseError> {
         for c in &f.calls {
             prop_assert!(c.line <= total_lines, "call line within the file");
         }
-        for p in &f.panics {
-            prop_assert!(p.line <= total_lines, "panic line within the file");
+        for &l in &f.index_lines {
+            prop_assert!(l <= total_lines, "indexing line within the file");
         }
         for &l in &f.clock_lines {
             prop_assert!(l <= total_lines, "clock line within the file");
@@ -103,7 +103,7 @@ fn item_fragments() -> Vec<&'static str> {
         "}}",
         ";",
         "#[cfg(test)]",
-        "// lint: allow(no-unwrap)\n",
+        "// lint: allow(ordered-output)\n",
         "\"fn not_a_fn() {}\"",
         "'}'",
         "\n",

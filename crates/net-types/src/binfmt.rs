@@ -19,7 +19,7 @@
 //! This module provides the container plus bounds-checked primitive
 //! reads; the per-archive column codecs live next to their text
 //! counterparts in each crate's `format` module, where the same lint
-//! scoping (no-unwrap, located-errors, no-string-keyed-hot-map)
+//! scoping (located-errors, ordered-output, no-string-keyed-hot-map)
 //! applies.
 
 use crate::error::ParseError;
@@ -239,7 +239,6 @@ impl<'a> BinReader<'a> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

@@ -71,6 +71,7 @@ pub struct Date {
 impl Date {
     /// Construct from civil year/month/day. Panics if the day is invalid
     /// for the month (use [`Date::try_from_ymd`] for fallible construction).
+    #[allow(clippy::panic)] // callers pass literal or computed-valid dates; parsers use try_from_ymd
     pub fn from_ymd(year: i32, month: u32, day: u32) -> Date {
         Self::try_from_ymd(year, month, day)
             .unwrap_or_else(|| panic!("invalid date {year:04}-{month:02}-{day:02}"))
@@ -367,7 +368,6 @@ fn civil_from_days(z: i32) -> (i32, u32, u32) {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

@@ -182,7 +182,6 @@ impl<I: InternId> StringInterner<I> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

@@ -251,7 +251,6 @@ impl FromStr for Ipv4Prefix {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

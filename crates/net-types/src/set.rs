@@ -227,7 +227,6 @@ impl Extend<Ipv4Prefix> for PrefixSet {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

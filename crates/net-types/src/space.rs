@@ -122,7 +122,6 @@ impl fmt::Display for AddressSpace {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

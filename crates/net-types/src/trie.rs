@@ -559,7 +559,6 @@ impl<'a, V> Iterator for IterMut<'a, V> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

@@ -1,6 +1,5 @@
 //! Property-based tests for the core network types.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use std::collections::BTreeSet;
 
 use droplens_net::{AddressSpace, Date, Ipv4Prefix, PrefixSet, PrefixTrie};

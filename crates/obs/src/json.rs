@@ -435,7 +435,6 @@ impl Parser<'_> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

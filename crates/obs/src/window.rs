@@ -285,7 +285,6 @@ impl WindowedHistogram {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use std::time::Duration;

@@ -1,7 +1,6 @@
 //! Integration coverage for droplens-obs: histogram edge cases,
 //! concurrent counters, tracer span nesting, and the JSON report shape.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread;

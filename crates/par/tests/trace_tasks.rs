@@ -3,7 +3,6 @@
 //! Lives alone in its own test binary: it enables the process-wide
 //! tracer, which would leak events into any test sharing the process.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_obs::trace::{self, ArgValue, EventKind};
 
 #[test]

@@ -73,11 +73,9 @@ impl RirStatsArchive {
     /// Add a snapshot assembled from the (up to five) per-RIR files
     /// published on `date`. Snapshots must be added in chronological
     /// order; panics otherwise (archives are built by one writer).
+    #[allow(clippy::panic)] // one chronological writer builds the archive; ingestion calls try_add_snapshot
     pub fn add_snapshot(&mut self, date: Date, files: &[StatsFile]) {
         if let Err(e) = self.try_add_snapshot(date, files) {
-            // Documented invariant of this infallible wrapper; ingestion
-            // paths go through `try_add_snapshot` instead.
-            // lint: allow(no-unwrap)
             panic!("snapshots must be added in chronological order: {e}");
         }
     }
@@ -136,7 +134,7 @@ impl RirStatsArchive {
 
     /// Dates of all snapshots, ascending.
     pub fn snapshot_dates(&self) -> Vec<Date> {
-        self.snapshots.iter().map(|s| s.date).collect() // lint: allow(no-unbounded-collect) — one Date per snapshot (a few hundred)
+        self.snapshots.iter().map(|s| s.date).collect()
     }
 
     /// The snapshot in force on `date` (the latest snapshot at or before
@@ -232,12 +230,11 @@ impl RirStatsArchive {
     pub fn delegated_prefixes_at(&self, date: Date) -> Vec<(Ipv4Prefix, Rir, String)> {
         self.delegated_prefixes(date)
             .map(|(p, r, o)| (p, r, o.to_owned()))
-            .collect() // lint: allow(no-unbounded-collect) — the materialized view is the return value itself
+            .collect()
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use crate::DelegationRecord;

@@ -395,9 +395,9 @@ pub fn repair_flickers(snapshots: &mut [(Date, Vec<StatsFile>)], partial: &[bool
             files
                 .iter()
                 .flat_map(|f| f.records.iter().map(key))
-                .collect() // lint: allow(no-unbounded-collect) — backfill needs each snapshot's full key set
+                .collect()
         })
-        .collect(); // lint: allow(no-unbounded-collect) — one key set per snapshot, dropped after the pass
+        .collect();
     for i in 1..snapshots.len() {
         if !partial[i] {
             continue;
@@ -406,7 +406,7 @@ pub fn repair_flickers(snapshots: &mut [(Date, Vec<StatsFile>)], partial: &[bool
             .1
             .iter()
             .flat_map(|f| f.records.iter().cloned())
-            .collect(); // lint: allow(no-unbounded-collect) — one predecessor snapshot, only for flagged-partial gaps
+            .collect();
         for record in prev {
             let k = key(&record);
             if keys[i].contains(&k) {
@@ -455,7 +455,6 @@ pub fn repair_flickers(snapshots: &mut [(Date, Vec<StatsFile>)], partial: &[bool
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

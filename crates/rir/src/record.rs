@@ -103,7 +103,6 @@ fn decompose(start: u32, count: u64) -> Vec<Ipv4Prefix> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

@@ -136,7 +136,6 @@ impl FromStr for AllocationStatus {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
 

@@ -1,7 +1,6 @@
 //! Property-based tests: CIDR decomposition of delegation spans, stats
 //! file round-trips, and temporal archive consistency.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use std::net::Ipv4Addr;
 
 use droplens_net::Date;

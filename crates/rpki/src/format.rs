@@ -296,7 +296,6 @@ pub fn parse_events_bin_with(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use droplens_net::Ipv4Prefix;

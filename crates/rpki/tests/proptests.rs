@@ -1,7 +1,6 @@
 //! Property-based tests: RFC 6811 validation semantics and archive
 //! replay, checked against brute-force models.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_net::{Asn, Date, Ipv4Prefix};
 use droplens_rpki::format::{parse_events, write_events, RoaEvent, RoaOp};
 use droplens_rpki::{validate, Roa, RoaArchive, RovOutcome, Tal};

@@ -419,7 +419,6 @@ pub fn request_args(req: &Request) -> String {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use droplens_obs::json::parse;

@@ -98,7 +98,6 @@ pub fn plan_slash8s(rir: Rir) -> &'static [u8] {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 mod tests {
     use super::*;
     use droplens_net::AddressSpace;

@@ -2,7 +2,6 @@
 //! just the default. A handful of generations with random seeds checks
 //! the generator's structural contracts.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_net::PrefixSet;
 use droplens_synth::{World, WorldConfig};
 use proptest::prelude::*;

@@ -1,6 +1,5 @@
 //! Integration tests over the generated world (small configuration).
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_bgp::{format as bgpfmt, BgpArchive};
 use droplens_drop::{DropSnapshot, DropTimeline, SblDatabase};
 use droplens_irr::{journal, IrrRegistry};

@@ -14,7 +14,6 @@
 //! * and everything is **deterministic**: same corruption seed, same
 //!   study, byte-for-byte, at any worker count.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_core::{paper, IngestPolicy, Study, StudyConfig};
 use droplens_faults::{CorruptionClass, Corruptor};
 use droplens_net::DateRange;

@@ -1,7 +1,6 @@
 //! Robustness: corrupted archive bytes must fail loudly at parse time,
 //! never silently skew an analysis.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_core::{Study, StudyConfig};
 use droplens_synth::{World, WorldConfig};
 

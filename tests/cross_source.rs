@@ -2,7 +2,6 @@
 //! tell one coherent story, and the analysis indices must agree with
 //! each other wherever they overlap.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_core::Study;
 use droplens_drop::Category;
 use droplens_net::PrefixSet;

@@ -2,7 +2,6 @@
 //! archives, and every experiment's rendered output — at any worker
 //! count.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_core::{experiments, paper, Study, StudyConfig};
 use droplens_net::DateRange;
 use droplens_synth::{World, WorldConfig};

@@ -2,7 +2,6 @@
 //! everything back through the real parsers, run the full experiment
 //! suite, and check the paper's headline shapes.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_core::{experiments, Study, StudyConfig};
 use droplens_drop::Category;
 use droplens_synth::{World, WorldConfig};

@@ -9,8 +9,6 @@
 //! harness threads and shards are per-thread, so they do not disturb
 //! each other's counters.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
-
 use std::hint::black_box;
 
 use droplens_obs::trace::{ArgValue, EventKind, Tracer};

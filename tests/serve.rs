@@ -12,7 +12,7 @@
 //!   succeeds within its retry budget, with answers unchanged, and the
 //!   server neither crashes nor deadlocks.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code: panics are failures
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};

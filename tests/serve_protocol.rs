@@ -10,7 +10,7 @@
 //!   offset, and torn transport surfaces separately as
 //!   [`WireError::Io`].
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code: panics are failures
 
 use droplens_net::{Asn, Date, Ipv4Prefix};
 use droplens_serve::protocol::{self, read_frame, seal_frame, HEADER_LEN, MAX_PAYLOAD};

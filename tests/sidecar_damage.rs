@@ -9,7 +9,7 @@
 //! sidecar's label, line 0. Permissive never fails: damage quarantines
 //! the whole sidecar and yields the empty value.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code: panics are failures
 use std::path::Path;
 use std::sync::OnceLock;
 

@@ -3,12 +3,11 @@
 //! Runs `Study::from_text` and the experiment suite at one and two
 //! workers and reads the rows each run added to
 //! [`droplens_obs::run_report`]: parser spans running on pool workers
-//! must key under the `load` stage that scheduled them, experiments
-//! under the span that computed them, and the rows must not depend on
-//! the worker count. Lives in its own test binary because it owns
+//! must key under the `load` stage that scheduled them, the five index
+//! builds under the `index` stage, experiments under the span that
+//! computed them, and the rows must not depend on the worker count. Lives in its own test binary because it owns
 //! `DROPLENS_THREADS` and the global tracer's span table.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use std::collections::BTreeSet;
 
 use droplens_core::paper::ExperimentResults;
@@ -26,6 +25,7 @@ fn worker_spans_nest_under_their_stage_at_any_worker_count() {
     for workers in ["1", "2"] {
         std::env::set_var("DROPLENS_THREADS", workers);
         let before = droplens_obs::run_report().spans;
+        tracer.enable();
         {
             let _run = tracer.span("run", "test");
             let mut config = StudyConfig::new(DateRange::inclusive(
@@ -37,6 +37,13 @@ fn worker_spans_nest_under_their_stage_at_any_worker_count() {
             let _experiments = tracer.span("experiments", "test");
             ExperimentResults::compute(&study);
         }
+        tracer.disable();
+        let coverage = tracer.drain().coverage("index").expect("an index span");
+        assert!(
+            coverage >= 0.95,
+            "index children cover {:.1}% at {workers} worker(s)",
+            coverage * 100.0
+        );
         // The rows this run added to the report (or counted again), and
         // those of them that ran inside a fork-join fan-out.
         let after = droplens_obs::run_report().spans;
@@ -52,6 +59,17 @@ fn worker_spans_nest_under_their_stage_at_any_worker_count() {
         let under = |prefix: &str| rows.iter().filter(|p| p.starts_with(prefix)).count();
         assert!(rows.contains("run/load/parse.bgp.updates"), "{rows:?}");
         assert_eq!(under("run/load/parse."), 6, "one row per parser: {rows:?}");
+        const INDEXES: [&str; 5] = [
+            "run/index/bgp",
+            "run/index/irr",
+            "run/index/rpki",
+            "run/index/rir",
+            "run/index/drop",
+        ];
+        for row in INDEXES {
+            assert!(rows.contains(row), "{row} missing: {rows:?}");
+        }
+        assert_eq!(under("run/index/"), 5, "one row per index: {rows:?}");
         assert_eq!(
             under("run/experiments/"),
             16,
@@ -64,7 +82,8 @@ fn worker_spans_nest_under_their_stage_at_any_worker_count() {
             }
         }
         // Only spans inside a fan-out are concurrent: none at one
-        // worker, the parsers (on both sides of `join`) at two.
+        // worker, the parsers and the index builds (on both sides of
+        // `join`) at two.
         if workers == "1" {
             assert!(concurrent.is_empty(), "{concurrent:?}");
         } else {
@@ -77,6 +96,10 @@ fn worker_spans_nest_under_their_stage_at_any_worker_count() {
                 "{concurrent:?}"
             );
             assert!(!concurrent.contains("run/load"), "{concurrent:?}");
+            for row in INDEXES {
+                assert!(concurrent.contains(row), "{row}: {concurrent:?}");
+            }
+            assert!(!concurrent.contains("run/index"), "{concurrent:?}");
         }
         rows_by_workers.push(rows);
     }

@@ -8,7 +8,6 @@
 //! binary because it owns the process-global tracer; a second test
 //! enabling it concurrently would interleave events.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panics are failures
 use droplens_core::{Study, StudyConfig};
 use droplens_net::{DateRange, IngestPolicy};
 use droplens_obs::trace::{ArgValue, EventKind};
